@@ -1,4 +1,4 @@
-.PHONY: verify test test-short fault bench lint cluster-test replica-test tok-test trace-test load-test load-bench
+.PHONY: verify test test-short fault bench bench-check lint cluster-test replica-test tok-test trace-test load-test load-bench
 
 verify: ## gofmt + vet + build + full race-enabled test suite
 	./scripts/verify.sh
@@ -6,13 +6,13 @@ verify: ## gofmt + vet + build + full race-enabled test suite
 lint: ## the same staticcheck invocation CI runs (go install honnef.co/go/tools/cmd/staticcheck@2024.1.1 first)
 	staticcheck ./...
 
-cluster-test: ## the sharding integration suite, race-enabled, same as CI's cluster job
+cluster-test: ## the sharding integration suite, race-enabled (local shortcut: a subset of `make verify`)
 	go test -race -run Cluster ./...
 
-replica-test: ## replication: rendezvous groups, failover, anti-entropy, parallel rebuild (race-enabled, same as CI's replication job)
+replica-test: ## replication: rendezvous groups, failover, anti-entropy, parallel rebuild (race-enabled; local shortcut: a subset of `make verify`)
 	go test -race -run 'Replica|AntiEntropy|TrainFanout|Rendezvous|BatchAccounting|ForwardAny|ForwardWrite|ForwardBusy|IngestParallel' ./cmd/kamel/ ./internal/cluster/... ./internal/pyramid/
 
-trace-test: ## distributed tracing + SLO suite, race-enabled, same as CI's tracing job: traceparent propagation, trace store, exemplars, federation, SLO burn triggers, and the 3-node stitching acceptance test
+trace-test: ## distributed tracing + SLO suite, race-enabled (local shortcut: a subset of `make verify`): traceparent propagation, trace store, exemplars, federation, SLO burn triggers, and the 3-node stitching acceptance test
 	go test -race -run 'Trace|Traceparent|Exemplar|Federated|SLO' ./internal/obs/ ./internal/cluster/ ./cmd/kamel/
 
 tok-test: ## tokenizer suite: pack/unpack properties, adaptive level bits, spec persistence + fault injection, anti-entropy hash gate (race-enabled), then the training-heavy golden-parity and adaptive lifecycle tests (no race: they train BERT models; core's concurrency is raced in `make verify`)
@@ -34,8 +34,11 @@ fault: ## fault-injection suite: kill-points, corruption, overload
 bench: ## imputation + model-lookup benchmarks + per-stage latencies -> BENCH_impute.json
 	./scripts/bench.sh
 
+bench-check: ## vet + test the benchmark module (its own go.mod), so drift in the internal/* packages it imports is caught at PR time
+	cd benchmark && go vet ./... && go test ./...
+
 load-test: ## CI's loadgen smoke: a short open-loop sweep against an in-process node, failing on any internal error
 	go test -race -run 'TestLoadgenSmoke' -v ./cmd/kamel/
 
-load-bench: ## record the capacity curves (1-node adaptive, 1-node fixed A/B, 3-node cluster) without the rest of the bench suite
+load-bench: ## record the capacity curves (1 node, 3-node cluster) without the rest of the bench suite
 	KAMEL_CAPACITY_OUT=$${KAMEL_CAPACITY_OUT:-CAPACITY.json} go test -run 'TestCapacityRecord' -v -timeout 30m ./cmd/kamel/

@@ -7,6 +7,7 @@ package kamel
 // numbers live in EXPERIMENTS.md.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -173,7 +174,10 @@ func (p benchPredictor) filter(raw []bert.Candidate, topK int) []impute.Candidat
 	return out
 }
 
-func (p benchPredictor) Predict(segment []grid.Cell, gapPos int, topK int) ([]impute.Candidate, error) {
+// predictOne answers one query with a single-sequence forward pass: behind
+// impute.PredictFunc it is the pre-batching beam search, one BERT call per
+// frontier candidate.
+func (p benchPredictor) predictOne(segment []grid.Cell, gapPos int, topK int) ([]impute.Candidate, error) {
 	mq := p.maskQuery(segment, gapPos, topK)
 	raw, err := p.m.PredictMasked(mq.Tokens, mq.MaskPos, mq.TopK)
 	if err != nil {
@@ -182,7 +186,9 @@ func (p benchPredictor) Predict(segment []grid.Cell, gapPos int, topK int) ([]im
 	return p.filter(raw, topK), nil
 }
 
-func (p benchPredictor) PredictBatch(queries []impute.Query) ([][]impute.Candidate, error) {
+// Predict implements impute.Predictor: the whole frontier in one
+// PredictMaskedBatch pass.
+func (p benchPredictor) Predict(_ context.Context, queries []impute.Query) ([][]impute.Candidate, error) {
 	mqs := make([]bert.MaskQuery, len(queries))
 	for i, q := range queries {
 		mqs[i] = p.maskQuery(q.Segment, q.GapPos, q.TopK)
@@ -198,16 +204,6 @@ func (p benchPredictor) PredictBatch(queries []impute.Query) ([][]impute.Candida
 	return out, nil
 }
 
-// seqOnlyPredictor hides the batch path, forcing impute.AsBatch to fall back
-// to sequential Predict calls — the pre-batching beam search.
-type seqOnlyPredictor struct {
-	p benchPredictor
-}
-
-func (s seqOnlyPredictor) Predict(segment []grid.Cell, gapPos int, topK int) ([]impute.Candidate, error) {
-	return s.p.Predict(segment, gapPos, topK)
-}
-
 func (f *batchBench) imputeCfg() impute.Config {
 	cfg := impute.DefaultConfig(tokenizer.NewFixed(f.g), f.ch)
 	cfg.MaxGapMeters = 120
@@ -221,11 +217,11 @@ func (f *batchBench) imputeCfg() impute.Config {
 // call per frontier candidate.
 func BenchmarkBeamImputeSequential(b *testing.B) {
 	f := batchBenchFixture(b)
-	p := seqOnlyPredictor{p: benchPredictor{m: f.model, v: f.v}}
+	p := impute.PredictFunc(benchPredictor{m: f.model, v: f.v}.predictOne)
 	cfg := f.imputeCfg()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := impute.Beam(p, cfg, f.req); err != nil {
+		if _, err := impute.Beam(context.Background(), p, cfg, f.req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +235,7 @@ func BenchmarkBeamImputeBatched(b *testing.B) {
 	cfg := f.imputeCfg()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := impute.Beam(p, cfg, f.req); err != nil {
+		if _, err := impute.Beam(context.Background(), p, cfg, f.req); err != nil {
 			b.Fatal(err)
 		}
 	}

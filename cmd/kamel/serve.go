@@ -13,6 +13,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -39,7 +40,14 @@ const (
 	codeConflict     = "conflict"
 	codeShardDown    = "shard_unavailable"
 	codeShuttingDown = "shutting_down"
+	codeClientClosed = "client_closed"
 )
+
+// statusClientClosed is the de-facto (nginx) status for a request whose
+// client went away before the response: nobody reads the answer, but the
+// route histogram and log line need a label that is neither success nor a
+// server fault.
+const statusClientClosed = 499
 
 // apiServer wires a KAMEL system to the demonstration HTTP API of the SIGMOD
 // demo paper.  The v1 surface is versioned and batch-first:
@@ -62,13 +70,12 @@ type apiServer struct {
 	sys  *core.System
 	opts serveOptions
 
-	inflight chan struct{} // fixed-mode concurrency limiter slots
-	warmed   atomic.Bool   // root model proven loadable (readyz warming gate)
+	warmed atomic.Bool // root model proven loadable (readyz warming gate)
 
-	// admission, when non-nil, replaces the fixed inflight bucket with the
-	// adaptive queue-delay controller (-admission adaptive, the default):
-	// limit tracks the batcher's observed queue wait, per-client fair-share
-	// quotas bound each tenant, and bulk work is shed ahead of interactive.
+	// admission is the overload controller (nil when -max-inflight is 0): its
+	// concurrency limit tracks the batcher's observed queue wait, per-client
+	// fair-share quotas bound each tenant, and bulk work is shed ahead of
+	// interactive.
 	admission *batcher.Admission
 
 	// Resilience counters live in the system's metrics registry, so /metrics
@@ -107,8 +114,9 @@ type serveOptions struct {
 	requestTimeout time.Duration
 	// maxBodyBytes caps request bodies; oversized requests get 413.
 	maxBodyBytes int64
-	// maxInflight caps concurrently handled API requests; excess load is
-	// shed with 429 + Retry-After rather than queued without bound.
+	// maxInflight is the ceiling of the adaptive concurrency limit; excess
+	// load is shed with 429 + Retry-After rather than queued without bound.
+	// 0 disables admission control.
 	maxInflight int
 	// slowRequest is the duration at or above which a request is logged at
 	// warn level with its per-stage span breakdown.  0 disables.
@@ -141,24 +149,6 @@ type serveOptions struct {
 	traceRetained int
 	// slo, when non-nil, is the node's SLO burn-rate monitor.
 	slo *obs.SLOMonitor
-	// admissionMode selects the overload regime: "adaptive" (default; the
-	// queue-delay-tracking controller with per-client quotas) or "fixed"
-	// (the original token bucket, kept for A/B comparison).
-	admissionMode string
-	// admissionTarget is the queue-delay bound the adaptive controller
-	// converges on (0 uses the controller default, 25ms).
-	admissionTarget time.Duration
-	// admissionMin floors the adaptive concurrency limit (0: default 1).
-	admissionMin int
-	// admissionInterval is the controller evaluation period (0: default 100ms).
-	admissionInterval time.Duration
-	// quotaBurst scales the per-client fair share (0: default 2).
-	quotaBurst float64
-	// quotaClients bounds the per-client LRU table (0: default 1024).
-	quotaClients int
-	// bulkHeadroom is the fraction of the limit beyond which bulk work is
-	// shed (0: default 0.75).
-	bulkHeadroom float64
 }
 
 func defaultServeOptions() serveOptions {
@@ -168,7 +158,6 @@ func defaultServeOptions() serveOptions {
 		maxInflight:    64,
 		slowRequest:    time.Second,
 		traceSample:    1,
-		admissionMode:  "adaptive",
 	}
 }
 
@@ -198,26 +187,13 @@ func newAPIHandler(sys *core.System, opts serveOptions) http.Handler {
 		s.traces = obs.NewTraceStore(opts.traceRetained, 0, reg)
 	}
 	if opts.maxInflight > 0 {
-		if opts.admissionMode == "fixed" {
-			s.inflight = make(chan struct{}, opts.maxInflight)
-		} else {
-			s.admission = batcher.NewAdmission(batcher.AdmissionOptions{
-				Target:       opts.admissionTarget,
-				MaxLimit:     opts.maxInflight,
-				MinLimit:     opts.admissionMin,
-				Interval:     opts.admissionInterval,
-				QuotaBurst:   opts.quotaBurst,
-				QuotaClients: opts.quotaClients,
-				BulkHeadroom: opts.bulkHeadroom,
-				Registry:     reg,
-			})
-			// The controller's congestion signal is the batcher's per-item
-			// queue wait; absent the batcher (admission batching disabled)
-			// the limit simply stays at MaxLimit — fixed-bucket behaviour.
-			if b := sys.Batcher(); b != nil {
-				b.SetQueueWaitObserver(s.admission.ObserveQueueDelay)
-			}
-		}
+		s.admission = batcher.NewAdmission(batcher.AdmissionOptions{
+			MaxLimit: opts.maxInflight,
+			Registry: reg,
+		})
+		// The controller's congestion signal is the batcher's per-item
+		// queue wait.
+		sys.Batcher().SetQueueWaitObserver(s.admission.ObserveQueueDelay)
 	}
 	// Build identity for federated scrapes: which binary, token space, and
 	// replication factor this node runs.  Value is constant 1; the labels are
@@ -231,7 +207,7 @@ func newAPIHandler(sys *core.System, opts serveOptions) http.Handler {
 		func() float64 { return 1 },
 		obs.L("version", version),
 		obs.L("tokenizer", sys.Config().Tokenizer),
-		obs.L("replicas", itoa(replicas)))
+		obs.L("replicas", strconv.Itoa(replicas)))
 	mux := http.NewServeMux()
 	mux.Handle("/v1/train", s.endpoint(http.MethodPost, s.handleTrain))
 	mux.Handle("/v1/impute", s.endpoint(http.MethodPost, s.handleImpute))
@@ -308,13 +284,12 @@ func headerPriority(r *http.Request) batcher.Priority {
 }
 
 // admitLoad is the overload-protection middleware: the adaptive queue-delay
-// controller when enabled (-admission adaptive, the default), the fixed
-// token bucket otherwise.  Either way a request is admitted immediately or
-// shed with 429 + Retry-After — shedding, not queueing, keeps latency
-// bounded when offered load exceeds capacity.
+// controller admits a request immediately or sheds it with 429 + Retry-After
+// — shedding, not queueing, keeps latency bounded when offered load exceeds
+// capacity.
 func (s *apiServer) admitLoad(next http.Handler) http.Handler {
 	if s.admission == nil {
-		return s.shedLoad(next)
+		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if isOps(r.URL.Path) {
@@ -330,7 +305,7 @@ func (s *apiServer) admitLoad(next http.Handler) http.Handler {
 		release, shed := s.admission.Admit(client, pri)
 		if shed != nil {
 			s.shed.Inc()
-			w.Header().Set("Retry-After", itoa(shed.RetryAfter))
+			w.Header().Set("Retry-After", strconv.Itoa(shed.RetryAfter))
 			writeErrorTraced(w, r, http.StatusTooManyRequests, codeOverloaded,
 				fmt.Sprintf("admission shed (%s): concurrency limit %d, queue delay ~%.1fms",
 					shed.Reason, shed.Limit, shed.QueueDelayMS))
@@ -338,31 +313,6 @@ func (s *apiServer) admitLoad(next http.Handler) http.Handler {
 		}
 		defer release()
 		next.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
-// shedLoad is a token-bucket concurrency limiter: a request either takes a
-// slot immediately or is shed with 429 + Retry-After.  Shedding, not
-// queueing, keeps latency bounded when a burst exceeds capacity.
-func (s *apiServer) shedLoad(next http.Handler) http.Handler {
-	if s.inflight == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if isOps(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		select {
-		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
-			next.ServeHTTP(w, r)
-		default:
-			s.shed.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeErrorTraced(w, r, http.StatusTooManyRequests, codeOverloaded,
-				fmt.Sprintf("server at capacity (%d in-flight requests)", cap(s.inflight)))
-		}
 	})
 }
 
@@ -546,9 +496,9 @@ func admissionContext(w http.ResponseWriter, r *http.Request, deadlineMS int64, 
 
 // writeImputeError maps an engine error onto the wire, adding Retry-After on
 // overload so shed clients back off like limiter-shed ones do, and the trace
-// ID on the statuses whose retained trace is worth pulling.  Under adaptive
-// admission the backoff and the queue-delay estimate in the message come from
-// the live controller state instead of a fixed constant.
+// ID on the statuses whose retained trace is worth pulling.  The backoff and
+// the queue-delay estimate in the message come from the live admission
+// controller state.
 func (s *apiServer) writeImputeError(w http.ResponseWriter, r *http.Request, err error) {
 	status, code := imputeErrStatus(err)
 	msg := err.Error()
@@ -559,7 +509,7 @@ func (s *apiServer) writeImputeError(w http.ResponseWriter, r *http.Request, err
 			retry, delayMS = s.admission.RetryAfterHint()
 			msg = fmt.Sprintf("%s (queue delay ~%.1fms)", msg, delayMS)
 		}
-		w.Header().Set("Retry-After", itoa(retry))
+		w.Header().Set("Retry-After", strconv.Itoa(retry))
 	}
 	if status == http.StatusTooManyRequests || status >= 500 {
 		writeErrorTraced(w, r, status, code, msg)
@@ -587,16 +537,12 @@ func (s *apiServer) handleImpute(w http.ResponseWriter, r *http.Request) {
 		s.writeImputeError(w, r, err)
 		return
 	}
-	out := wireImputeResult{
+	writeJSON(w, wireImputeResult{
 		Trajectory: toWirePtr(dense),
 		Segments:   stats.Segments,
 		Failures:   stats.Failures,
 		Degraded:   stats.Degraded,
-	}
-	if wantDebug(r) {
-		out.Debug = debugDoc(r)
-	}
-	writeJSON(w, out)
+	})
 }
 
 func (s *apiServer) handleImputeBatch(w http.ResponseWriter, r *http.Request) {
@@ -618,12 +564,7 @@ func (s *apiServer) handleImputeBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeImputeError(w, r, err)
 		return
 	}
-	doc := wireBatchResponse{Results: wireResults(results)}
-	if wantDebug(r) {
-		// The whole batch ran under one trace, so the breakdown is batch-wide.
-		doc.Debug = debugDoc(r)
-	}
-	writeJSON(w, doc)
+	writeJSON(w, wireBatchResponse{Results: wireResults(results)})
 }
 
 // wireResults maps engine batch results to their wire form, in order.
@@ -651,8 +592,8 @@ type wireStats struct {
 	SheddedRequests int64 `json:"shedded_requests"`
 	PanicsRecovered int64 `json:"panics_recovered"`
 	RequestTimeouts int64 `json:"request_timeouts"`
-	// Admission is the adaptive controller's live state (current limit,
-	// observed queue delay, quota sheds); absent in fixed mode.
+	// Admission is the admission controller's live state (current limit,
+	// observed queue delay, quota sheds); absent when -max-inflight is 0.
 	Admission *batcher.AdmissionStats `json:"admission,omitempty"`
 	// Cluster is present only on sharded deployments: this node's routing
 	// state and forwarding/degradation counters (includes the requests
@@ -700,6 +641,12 @@ func imputeErrStatus(err error) (int, string) {
 	if errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusServiceUnavailable, codeTimeout
 	}
+	if errors.Is(err, context.Canceled) {
+		// The request context was cancelled — the client disconnected.  Not a
+		// server error: below 500 it burns no SLO error budget and is not
+		// tail-retained as an error trace.
+		return statusClientClosed, codeClientClosed
+	}
 	return http.StatusInternalServerError, codeInternal
 }
 
@@ -717,14 +664,7 @@ func runServe(args []string) error {
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "http.Server idle keep-alive timeout (0 disables)")
 	reqTimeout := fs.Duration("request-timeout", def.requestTimeout, "per-request handling timeout (0 disables)")
 	maxBody := fs.Int64("max-body-bytes", def.maxBodyBytes, "maximum request body size in bytes (0 disables)")
-	maxInflight := fs.Int("max-inflight", def.maxInflight, "maximum concurrently handled requests before shedding with 429 (0 disables)")
-	admissionMode := fs.String("admission", def.admissionMode, "overload protection: adaptive (queue-delay controller with per-client quotas) or fixed (token bucket)")
-	admissionTarget := fs.Duration("admission-target", 0, "adaptive admission: queue-delay bound the concurrency limit converges on (0 uses the default, 25ms)")
-	admissionMin := fs.Int("admission-min", 0, "adaptive admission: concurrency-limit floor (0 uses the default, 1)")
-	admissionInterval := fs.Duration("admission-interval", 0, "adaptive admission: controller evaluation period (0 uses the default, 100ms)")
-	quotaBurst := fs.Float64("quota-burst", 0, "adaptive admission: per-client fair-share multiplier — each active client may hold up to limit*burst/clients slots (0 uses the default, 2)")
-	quotaClients := fs.Int("quota-clients", 0, "adaptive admission: LRU-bounded client-table capacity (0 uses the default, 1024)")
-	bulkHeadroom := fs.Float64("bulk-headroom", 0, "adaptive admission: fraction of the limit beyond which bulk-priority work is shed, reserving the rest for interactive (0 uses the default, 0.75)")
+	maxInflight := fs.Int("max-inflight", def.maxInflight, "ceiling of the adaptive concurrency limit: requests beyond the limit are shed with 429 (0 disables admission control)")
 	slowReq := fs.Duration("slow-request", def.slowRequest, "log requests at warn level with a per-stage breakdown when they take at least this long (0 disables)")
 	logLevel := fs.String("log-level", "info", "minimum structured-log level: debug, info, warn, error")
 	cacheBytes := fs.Int64("model-cache-bytes", 0, "model cache budget in bytes (0 sizes from available memory, <0 unbounded)")
@@ -732,7 +672,6 @@ func runServe(args []string) error {
 	batchMaxWait := fs.Duration("batch-max-wait", 0, "admission batching: coalescing window under concurrency (0 uses the default, <0 disables windowing)")
 	batchMaxQueue := fs.Int("batch-max-queue", 0, "admission batching: queued queries per model before shedding with 429 (0 uses the default, <0 unbounded)")
 	batchMaxStarve := fs.Duration("batch-max-starve", 0, "admission batching: bulk-lane wait beyond which dispatches reserve slots for bulk (0 uses the default, <0 strict priority)")
-	noBatching := fs.Bool("no-admission-batching", false, "compute predictions inline per request instead of coalescing across requests")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	clusterConfig := fs.String("cluster-config", "", "shard map JSON file enabling horizontal sharding (empty: single node)")
 	clusterSelf := fs.String("cluster-self", "", "this process's shard id in the shard map (required with -cluster-config)")
@@ -777,7 +716,6 @@ func runServe(args []string) error {
 	cfg.BatchMaxWait = *batchMaxWait
 	cfg.BatchMaxQueue = *batchMaxQueue
 	cfg.BatchMaxStarve = *batchMaxStarve
-	cfg.DisableAdmissionBatching = *noBatching
 	cfg.RebuildWorkers = *rebuildWorkers
 	sys, err := core.New(cfg)
 	if err != nil {
@@ -880,30 +818,20 @@ func runServe(args []string) error {
 	}, sys.Obs(), logger)
 	go slo.Run(ctx)
 
-	if *admissionMode != "adaptive" && *admissionMode != "fixed" {
-		return fmt.Errorf("serve: -admission must be adaptive or fixed, got %q", *admissionMode)
-	}
 	opts := serveOptions{
-		requestTimeout:    *reqTimeout,
-		maxBodyBytes:      *maxBody,
-		maxInflight:       *maxInflight,
-		slowRequest:       *slowReq,
-		admissionMode:     *admissionMode,
-		admissionTarget:   *admissionTarget,
-		admissionMin:      *admissionMin,
-		admissionInterval: *admissionInterval,
-		quotaBurst:        *quotaBurst,
-		quotaClients:      *quotaClients,
-		bulkHeadroom:      *bulkHeadroom,
-		logger:            logger,
-		router:            router,
-		clusterPath:       *clusterConfig,
-		replicaOverride:   *replicas,
-		syncer:            syncer,
-		traceSample:       *traceSample,
-		traceSlow:         *traceSlow,
-		traceRetained:     *traceRetained,
-		slo:               slo,
+		requestTimeout:  *reqTimeout,
+		maxBodyBytes:    *maxBody,
+		maxInflight:     *maxInflight,
+		slowRequest:     *slowReq,
+		logger:          logger,
+		router:          router,
+		clusterPath:     *clusterConfig,
+		replicaOverride: *replicas,
+		syncer:          syncer,
+		traceSample:     *traceSample,
+		traceSlow:       *traceSlow,
+		traceRetained:   *traceRetained,
+		slo:             slo,
 	}
 	srv := &http.Server{
 		Addr:              *addr,
@@ -1016,7 +944,6 @@ type wireImputeResult struct {
 	Failures   int        `json:"failures"`
 	Degraded   int        `json:"degraded"`
 	Error      *wireError `json:"error,omitempty"`
-	Debug      *wireDebug `json:"debug,omitempty"` // ?debug=1 span breakdown
 }
 
 func fromWire(in []wireTraj) []geo.Trajectory {

@@ -246,11 +246,11 @@ func TestServeAdmissionBulkHeadroom(t *testing.T) {
 }
 
 // TestServeAdmissionSurfaces checks the full handler exposes controller state
-// everywhere the issue requires: the admission block in /v1/stats, the
-// kamel_admission_* series in /metrics, and (in fixed mode) the block's
-// absence.
+// everywhere operators read it: the admission block in /v1/stats and the
+// kamel_admission_* series in /metrics — and that -max-inflight 0 (admission
+// control off) drops the block.
 func TestServeAdmissionSurfaces(t *testing.T) {
-	ts := newTestServer(t) // default options: adaptive admission
+	ts := newTestServer(t)
 
 	status, _, body := call(t, http.MethodGet, ts.URL+"/v1/stats", "", "")
 	if status != http.StatusOK {
@@ -286,12 +286,11 @@ func TestServeAdmissionSurfaces(t *testing.T) {
 		}
 	}
 
-	// Fixed mode keeps the original bucket and reports no admission block.
-	fixed := defaultServeOptions()
-	fixed.admissionMode = "fixed"
-	tsFixed := newTestServerOpts(t, fixed)
-	_, _, body = call(t, http.MethodGet, tsFixed.URL+"/v1/stats", "", "")
+	off := defaultServeOptions()
+	off.maxInflight = 0
+	tsOff := newTestServerOpts(t, off)
+	_, _, body = call(t, http.MethodGet, tsOff.URL+"/v1/stats", "", "")
 	if _, ok := body["admission"]; ok {
-		t.Error("fixed mode must not report an admission block")
+		t.Error("-max-inflight 0 must not report an admission block")
 	}
 }

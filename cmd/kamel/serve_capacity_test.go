@@ -24,8 +24,8 @@ import (
 // generator cmd/kamel-loadgen ships is pointed at httptest servers built from
 // the real API handler, so CI can smoke the sweep path without ports or
 // subprocesses, and scripts/bench.sh can record the capacity curves
-// (single-node adaptive, single-node fixed for the A/B, and the 3-node
-// cluster) into BENCH_impute.json via TestCapacityRecord.
+// (single node and the 3-node cluster) into BENCH_impute.json via
+// TestCapacityRecord.
 
 // capacityConfig shrinks the model to the integration-test scale (the same
 // knobs the cluster fixture uses) so training through /v1/train stays
@@ -44,10 +44,9 @@ func capacityConfig(dir, shardID string) core.Config {
 // capacityServeOptions widens the request plumbing for seeding: the training
 // split arrives as one large POST that may run well past the interactive
 // 30s default.
-func capacityServeOptions(mode string) serveOptions {
+func capacityServeOptions() serveOptions {
 	opts := defaultServeOptions()
 	opts.logger = quietLogger()
-	opts.admissionMode = mode
 	opts.requestTimeout = 10 * time.Minute
 	opts.maxBodyBytes = 256 << 20
 	return opts
@@ -55,14 +54,14 @@ func capacityServeOptions(mode string) serveOptions {
 
 // newCapacityServer stands up one untrained node; the generator's seed phase
 // trains it over the wire, exactly like an operator driving a fresh server.
-func newCapacityServer(t *testing.T, mode string) *httptest.Server {
+func newCapacityServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	sys, err := core.New(capacityConfig(t.TempDir(), ""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	ts := httptest.NewServer(newAPIHandler(sys, capacityServeOptions(mode)))
+	ts := httptest.NewServer(newAPIHandler(sys, capacityServeOptions()))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -98,7 +97,7 @@ func newCapacityCluster(t *testing.T, n int) string {
 			}
 		},
 		func(i int, self string, rt *cluster.Router) (http.Handler, error) {
-			opts := capacityServeOptions("adaptive")
+			opts := capacityServeOptions()
 			opts.router = rt
 			opts.clusterPath = mapPath
 			return newAPIHandler(syss[i], opts), nil
@@ -143,13 +142,13 @@ func capacitySweep(t *testing.T, url string, w *loadgen.Workload, rates []float6
 }
 
 // TestLoadgenSmoke is the CI loadgen job: a short open-loop sweep against an
-// in-process adaptive node, failing on any internal error — overload must
+// in-process node, failing on any internal error — overload must
 // surface as 429s, never 500s — and on a sweep that produced no goodput.
 func TestLoadgenSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loadgen smoke trains a model; skipped under -short")
 	}
-	ts := newCapacityServer(t, "adaptive")
+	ts := newCapacityServer(t)
 	w := capacityWorkload(t, 0.1)
 	res := capacitySweep(t, ts.URL, w, []float64{40, 80}, 300*time.Millisecond, 1200*time.Millisecond, 250)
 
@@ -173,26 +172,13 @@ func TestLoadgenSmoke(t *testing.T) {
 }
 
 // capacityRecord is the machine-readable block scripts/bench.sh splices into
-// BENCH_impute.json: the capacity curves plus the fixed-vs-adaptive A/B at
-// the highest offered rate (the past-saturation point the adaptive controller
-// exists for).
+// BENCH_impute.json: the single-node and 3-node capacity curves.  (The key
+// names keep the "_adaptive" suffix of the PR 10 record they continue.)
 type capacityRecord struct {
 	P99TargetMS    float64             `json:"p99_target_ms"`
 	Rates          []float64           `json:"rates"`
 	SingleAdaptive loadgen.SweepResult `json:"single_adaptive"`
-	SingleFixed    loadgen.SweepResult `json:"single_fixed"`
 	Cluster3       loadgen.SweepResult `json:"cluster3_adaptive"`
-	AB             capacityAB          `json:"ab"`
-}
-
-type capacityAB struct {
-	OfferedRPS         float64 `json:"offered_rps"`
-	AdaptiveGoodputRPS float64 `json:"adaptive_goodput_rps"`
-	FixedGoodputRPS    float64 `json:"fixed_goodput_rps"`
-	AdaptiveP99MS      float64 `json:"adaptive_p99_ms"`
-	FixedP99MS         float64 `json:"fixed_p99_ms"`
-	AdaptiveShedRate   float64 `json:"adaptive_shed_rate"`
-	FixedShedRate      float64 `json:"fixed_shed_rate"`
 }
 
 // TestCapacityRecord runs the full capacity benchmark and writes the record
@@ -250,28 +236,10 @@ func TestCapacityRecord(t *testing.T) {
 	w := capacityWorkload(t, scale)
 
 	rec := capacityRecord{P99TargetMS: p99Target, Rates: rates}
-	t.Log("capacity: sweeping single-node adaptive")
-	rec.SingleAdaptive = capacitySweep(t, newCapacityServer(t, "adaptive").URL, w, rates, warmup, measure, p99Target)
-	t.Log("capacity: sweeping single-node fixed (A/B baseline)")
-	rec.SingleFixed = capacitySweep(t, newCapacityServer(t, "fixed").URL, w, rates, warmup, measure, p99Target)
-	t.Log("capacity: sweeping 3-node cluster (adaptive)")
+	t.Log("capacity: sweeping single node")
+	rec.SingleAdaptive = capacitySweep(t, newCapacityServer(t).URL, w, rates, warmup, measure, p99Target)
+	t.Log("capacity: sweeping 3-node cluster")
 	rec.Cluster3 = capacitySweep(t, newCapacityCluster(t, 3), w, rates, warmup, measure, p99Target)
-
-	// The A/B headline compares both modes at the highest offered rate —
-	// equal rate budget, equal workload, equal seed.
-	last := len(rates) - 1
-	if last < len(rec.SingleAdaptive.Steps) && last < len(rec.SingleFixed.Steps) {
-		a, f := rec.SingleAdaptive.Steps[last], rec.SingleFixed.Steps[last]
-		rec.AB = capacityAB{
-			OfferedRPS:         a.OfferedRPS,
-			AdaptiveGoodputRPS: a.GoodputRPS,
-			FixedGoodputRPS:    f.GoodputRPS,
-			AdaptiveP99MS:      a.P99MS,
-			FixedP99MS:         f.P99MS,
-			AdaptiveShedRate:   a.ShedRate,
-			FixedShedRate:      f.ShedRate,
-		}
-	}
 
 	raw, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -280,8 +248,7 @@ func TestCapacityRecord(t *testing.T) {
 	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("capacity: single adaptive %s", loadgen.Summary(rec.SingleAdaptive))
-	t.Logf("capacity: single fixed    %s", loadgen.Summary(rec.SingleFixed))
-	t.Logf("capacity: cluster3        %s", loadgen.Summary(rec.Cluster3))
+	t.Logf("capacity: single   %s", loadgen.Summary(rec.SingleAdaptive))
+	t.Logf("capacity: cluster3 %s", loadgen.Summary(rec.Cluster3))
 	t.Logf("capacity: wrote %s", out)
 }

@@ -58,15 +58,6 @@ func containsShard(ids []string, id string) bool {
 	return false
 }
 
-// debugSuffix propagates ?debug=1 to a forwarded hop so the remote span
-// breakdown comes back for stitching.
-func debugSuffix(r *http.Request) string {
-	if wantDebug(r) {
-		return "?debug=1"
-	}
-	return ""
-}
-
 // isForwarded reports whether this request already made its one hop.
 func isForwarded(r *http.Request) bool {
 	return r.Header.Get(cluster.HeaderForwarded) != ""
@@ -151,7 +142,7 @@ func (s *apiServer) routeSingle(w http.ResponseWriter, r *http.Request, req wire
 		return true
 	}
 	sp := obs.StartSpan(r.Context(), "cluster.forward")
-	res, servedBy, ferr := rt.ForwardAny(r.Context(), group, "/v1/impute"+debugSuffix(r), body)
+	res, _, ferr := rt.ForwardAny(r.Context(), group, "/v1/impute", body)
 	sp.End()
 	if ferr != nil {
 		if err := r.Context().Err(); err != nil {
@@ -167,61 +158,29 @@ func (s *apiServer) routeSingle(w http.ResponseWriter, r *http.Request, req wire
 			return true
 		}
 		rt.CountDegraded(1)
-		if wantDebug(r) {
-			item.Debug = debugDoc(r)
-		}
 		writeJSON(w, item)
 		return true
 	}
-	if res.Status != http.StatusOK {
-		// A non-retryable client error from the replica (bad request, too
-		// large, ...) passes through verbatim — it is about the request, not
-		// about shard health.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(res.Status)
-		w.Write(res.Body)
-		return true
-	}
-	if !wantDebug(r) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(res.Body)
-		return true
-	}
-	// Stitch the trace: the local hop's spans (routing, forward wait) wrap
-	// the serving replica's breakdown, all under one request id.
-	var item wireImputeResult
-	if err := json.Unmarshal(res.Body, &item); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(res.Body)
-		return true
-	}
-	remote := item.Debug
-	item.Debug = debugDoc(r)
-	if item.Debug != nil {
-		item.Debug.Shard = rt.Self()
-		if remote != nil {
-			remote.Shard = servedBy
-			item.Debug.Hops = append(item.Debug.Hops, remote)
-		}
-	}
-	writeJSON(w, item)
+	// The replica's answer passes through verbatim — a 200, or a
+	// non-retryable client error (bad request, too large, ...) that is about
+	// the request, not about shard health.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(res.Status)
+	w.Write(res.Body)
 	return true
 }
 
 // wireBatchResponse is the /v1/impute/batch response document.
 type wireBatchResponse struct {
 	Results []wireImputeResult `json:"results"`
-	Debug   *wireDebug         `json:"debug,omitempty"`
 }
 
 // shardOutcome is one scatter group's result.
 type shardOutcome struct {
-	label       string   // primary replica (or self), for hop reporting
+	label       string   // primary replica (or self), for error messages
 	group       []string // full replica group; nil for the local group
 	idxs        []int    // original batch positions of this group's items
 	items       []wireImputeResult
-	servedBy    string // which replica answered a remote group
-	dbg         *wireDebug
 	unreachable bool  // every replica down after retries (or answered garbage)
 	err         error // local system-level error (untrained, cancelled)
 }
@@ -240,7 +199,7 @@ func (s *apiServer) routeBatch(w http.ResponseWriter, r *http.Request, req wireB
 	}
 	self := rt.Self()
 	groups := make(map[string]*shardOutcome)
-	var order []string // first-seen order keeps hop reporting deterministic
+	var order []string // first-seen order keeps the gather deterministic
 	local := false
 	for i, tr := range trajs {
 		g, _, ok := rt.ReplicaGroup(wirePoints(tr))
@@ -296,7 +255,7 @@ func (s *apiServer) routeBatch(w http.ResponseWriter, r *http.Request, req wireB
 				return
 			}
 			sp := obs.StartSpan(r.Context(), "cluster.forward")
-			res, servedBy, ferr := rt.ForwardAny(r.Context(), o.group, "/v1/impute/batch"+debugSuffix(r), body)
+			res, _, ferr := rt.ForwardAny(r.Context(), o.group, "/v1/impute/batch", body)
 			sp.End()
 			if ferr != nil || res.Status != http.StatusOK {
 				o.unreachable = true
@@ -308,8 +267,6 @@ func (s *apiServer) routeBatch(w http.ResponseWriter, r *http.Request, req wireB
 				return
 			}
 			o.items = resp.Results
-			o.servedBy = servedBy
-			o.dbg = resp.Debug
 		}(o)
 	}
 	wg.Wait()
@@ -319,7 +276,6 @@ func (s *apiServer) routeBatch(w http.ResponseWriter, r *http.Request, req wireB
 	// element is counted at most once, at its final rung: Degraded if the
 	// linear baseline served it, Unavailable if nothing could.
 	items := make([]wireImputeResult, len(trajs))
-	var hops []*wireDebug
 	var degraded, unavailable int64
 	served := 0
 	var sysErr error
@@ -347,13 +303,6 @@ func (s *apiServer) routeBatch(w http.ResponseWriter, r *http.Request, req wireB
 				items[ix] = o.items[j]
 			}
 			served += len(o.idxs)
-			if o.dbg != nil {
-				o.dbg.Shard = o.servedBy
-				if o.dbg.Shard == "" {
-					o.dbg.Shard = o.label
-				}
-				hops = append(hops, o.dbg)
-			}
 		}
 	}
 	if sysErr != nil {
@@ -376,15 +325,7 @@ func (s *apiServer) routeBatch(w http.ResponseWriter, r *http.Request, req wireB
 	if unavailable > 0 {
 		rt.CountUnavailable(unavailable)
 	}
-	resp := wireBatchResponse{Results: items}
-	if wantDebug(r) {
-		if dbg := debugDoc(r); dbg != nil {
-			dbg.Shard = self
-			dbg.Hops = hops
-			resp.Debug = dbg
-		}
-	}
-	writeJSON(w, resp)
+	writeJSON(w, wireBatchResponse{Results: items})
 	return true
 }
 

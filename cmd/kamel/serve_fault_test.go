@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"kamel/internal/batcher"
 	"kamel/internal/obs"
 )
 
@@ -43,9 +44,9 @@ func TestFaultServePanicRecovery(t *testing.T) {
 	}
 }
 
-// TestFaultServeLoadShed drives a 64-client burst against a 4-slot limiter:
-// the four in-flight requests complete, every excess request is shed with
-// 429 + Retry-After, and health probes keep answering throughout.
+// TestFaultServeLoadShed drives a 64-client burst against a 4-slot admission
+// limit: the four in-flight requests complete, every excess request is shed
+// with 429 + Retry-After, and health probes keep answering throughout.
 func TestFaultServeLoadShed(t *testing.T) {
 	const slots, burst = 4, 64
 
@@ -61,10 +62,10 @@ func TestFaultServeLoadShed(t *testing.T) {
 		writeJSON(w, map[string]string{"status": "done"})
 	})
 	s := &apiServer{
-		inflight: make(chan struct{}, slots),
-		shed:     obs.NewRegistry().Counter("kamel_http_shed_total", ""),
+		admission: batcher.NewAdmission(batcher.AdmissionOptions{MaxLimit: slots}),
+		shed:      obs.NewRegistry().Counter("kamel_http_shed_total", ""),
 	}
-	ts := httptest.NewServer(s.shedLoad(inner))
+	ts := httptest.NewServer(s.admitLoad(inner))
 	defer ts.Close()
 
 	// Fill every limiter slot with a blocked request.

@@ -3,6 +3,7 @@ package main
 import (
 	"math/rand/v2"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -11,8 +12,7 @@ import (
 
 // This file is the HTTP face of the observability layer (internal/obs): the
 // request-observation middleware that traces, times, and logs every API
-// request, the /metrics Prometheus endpoint, and the ?debug=1 span breakdown
-// returned inline by the imputation endpoints.
+// request, and the /metrics Prometheus endpoint.
 
 // isOps reports whether the path is an operator surface — health probes and
 // the metrics scrape — which must stay responsive under overload and is
@@ -154,7 +154,7 @@ func (s *apiServer) observe(next http.Handler) http.Handler {
 			status = http.StatusOK // handler wrote nothing: net/http sends 200
 		}
 		route := normalizeRoute(r.URL.Path)
-		s.requestHist(route, itoa(status)).ObserveExemplar(dur.Seconds(), tr.TraceID)
+		s.requestHist(route, strconv.Itoa(status)).ObserveExemplar(dur.Seconds(), tr.TraceID)
 		s.slo.Observe(status, dur)
 
 		slowAt := s.traceSlowAt()
@@ -202,21 +202,6 @@ func (s *apiServer) observe(next http.Handler) http.Handler {
 	})
 }
 
-// itoa renders a status code without strconv noise at the call site.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [4]byte
-	i := len(buf)
-	for v > 0 && i > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
 // stageAttr renders a trace's per-stage totals for a slow-request log line.
 func stageAttr(tr *obs.Trace) []map[string]any {
 	stages := tr.Stages()
@@ -242,68 +227,4 @@ func (s *apiServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if err := s.sys.Obs().WritePrometheus(w); err != nil {
 		s.logger().Error("writing metrics exposition", "component", "serve", "err", err)
 	}
-}
-
-// wantDebug reports whether the request asked for the inline span breakdown.
-func wantDebug(r *http.Request) bool {
-	v := r.URL.Query().Get("debug")
-	return v == "1" || v == "true"
-}
-
-// wireDebug is the ?debug=1 payload: the request's identity and its span
-// breakdown, both summarized per stage and as the raw (capped) span list.
-type wireDebug struct {
-	RequestID string      `json:"request_id,omitempty"`
-	Shard     string      `json:"shard,omitempty"` // which shard produced this hop
-	TotalMS   float64     `json:"total_ms"`
-	Stages    []wireStage `json:"stages"`
-	Spans     []wireSpan  `json:"spans"`
-	// Hops carries the remote shards' own breakdowns when a request was
-	// forwarded or scatter-gathered, stitching one trace across the cluster —
-	// every hop shares this request's id (X-Request-ID propagates on forward).
-	Hops    []*wireDebug `json:"hops,omitempty"`
-	Dropped int          `json:"spans_dropped,omitempty"`
-}
-
-type wireStage struct {
-	Name    string  `json:"name"`
-	Count   int     `json:"count"`
-	TotalMS float64 `json:"total_ms"`
-}
-
-type wireSpan struct {
-	Name    string  `json:"name"`
-	StartMS float64 `json:"start_ms"` // offset from request start
-	DurMS   float64 `json:"dur_ms"`
-}
-
-// debugDoc renders the request's trace, or nil when the request was not
-// traced (the observe middleware not in the chain).
-func debugDoc(r *http.Request) *wireDebug {
-	tr := obs.TraceFrom(r.Context())
-	if tr == nil {
-		return nil
-	}
-	doc := &wireDebug{
-		RequestID: obs.RequestIDFrom(r.Context()),
-		TotalMS:   float64(tr.Elapsed().Microseconds()) / 1000,
-		Stages:    []wireStage{},
-		Spans:     []wireSpan{},
-		Dropped:   tr.Dropped(),
-	}
-	for _, st := range tr.Stages() {
-		doc.Stages = append(doc.Stages, wireStage{
-			Name:    st.Name,
-			Count:   st.Count,
-			TotalMS: float64(st.Total.Microseconds()) / 1000,
-		})
-	}
-	for _, sp := range tr.Records() {
-		doc.Spans = append(doc.Spans, wireSpan{
-			Name:    sp.Name,
-			StartMS: float64(sp.Start.Microseconds()) / 1000,
-			DurMS:   float64(sp.Dur.Microseconds()) / 1000,
-		})
-	}
-	return doc
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -10,9 +11,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kamel/internal/core"
 	"kamel/internal/geo"
+	"kamel/internal/obs"
 	"kamel/internal/roadnet"
 	"kamel/internal/trajgen"
 )
@@ -152,10 +155,26 @@ func TestServeRequestID(t *testing.T) {
 	}
 }
 
-// TestServeDebugAndSlowLog trains a model, then checks (a) ?debug=1 returns
-// the per-stage span breakdown inline on both imputation endpoints, and (b) a
-// request over the slow-request threshold logs a warn line with its stages.
-func TestServeDebugAndSlowLog(t *testing.T) {
+// hasSpans reports whether a trace hop recorded a span of every given name.
+func hasSpans(hop wireTraceHop, names ...string) bool {
+	seen := map[string]bool{}
+	for _, sp := range hop.Spans {
+		seen[sp.Name] = true
+	}
+	for _, n := range names {
+		if !seen[n] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestServeTraceBreakdownAndSlowLog trains a model, then checks (a) the
+// per-stage span breakdown the removed ?debug=1 payload carried is what the
+// response's X-Kamel-Trace-ID resolves to at /v1/traces/{id} — and the
+// parameter itself is ignored — and (b) a request over the slow-request
+// threshold logs a warn line with its stages.
+func TestServeTraceBreakdownAndSlowLog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
@@ -171,60 +190,26 @@ func TestServeDebugAndSlowLog(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("impute status %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp struct {
-		Debug *wireDebug `json:"debug"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Debug == nil {
-		t.Fatal("?debug=1 returned no debug document")
-	}
-	if resp.Debug.RequestID != rec.Header().Get("X-Request-ID") {
-		t.Errorf("debug request_id %q != header %q", resp.Debug.RequestID, rec.Header().Get("X-Request-ID"))
-	}
-	if resp.Debug.TotalMS <= 0 {
-		t.Errorf("debug total_ms = %v, want > 0", resp.Debug.TotalMS)
-	}
-	stages := map[string]bool{}
-	for _, st := range resp.Debug.Stages {
-		stages[st.Name] = true
-		if st.Count <= 0 {
-			t.Errorf("stage %s has count %d", st.Name, st.Count)
-		}
-	}
-	for _, want := range []string{"impute.tokenize", "impute.beam", "impute.predict"} {
-		if !stages[want] {
-			t.Errorf("debug stages missing %q (got %v)", want, stages)
-		}
-	}
-	if len(resp.Debug.Spans) == 0 {
-		t.Error("debug document has no spans")
-	}
-
-	// Without the parameter the field is absent.
-	rec = doReq(h, http.MethodPost, "/v1/impute", string(oneBody), nil)
 	if strings.Contains(rec.Body.String(), `"debug"`) {
-		t.Error("debug document returned without ?debug=1")
+		t.Errorf("?debug=1 response still carries a debug key: %s", rec.Body.String())
 	}
-
-	// Batch endpoint: one batch-wide debug document.
-	batchBody, _ := json.Marshal(sparse)
-	rec = doReq(h, http.MethodPost, "/v1/impute/batch?debug=1", string(batchBody), nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch status %d", rec.Code)
+	traceRec := doReq(h, http.MethodGet, "/v1/traces/"+rec.Header().Get("X-Kamel-Trace-ID"), "", nil)
+	if traceRec.Code != http.StatusOK {
+		t.Fatalf("trace lookup status %d: %s", traceRec.Code, traceRec.Body.String())
 	}
-	var batchResp struct {
-		Debug *wireDebug `json:"debug"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &batchResp); err != nil {
+	var doc wireTraceDoc
+	if err := json.Unmarshal(traceRec.Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if batchResp.Debug == nil || len(batchResp.Debug.Stages) == 0 {
-		t.Fatal("batch ?debug=1 returned no stage breakdown")
+	if len(doc.Hops) != 1 || doc.Hops[0].DurationMS <= 0 {
+		t.Fatalf("trace hops = %+v, want one timed hop", doc.Hops)
+	}
+	// The fixture serves one global model, so there is no impute.lookup.
+	if !hasSpans(doc.Hops[0], "impute.tokenize", "impute.beam", "impute.predict", "impute.detok") {
+		t.Errorf("trace hop lacks the imputation stage spans: %+v", doc.Hops[0].Spans)
 	}
 
-	// Every request above ran over the 1ns threshold: the log must carry
+	// The requests above ran over the 1ns threshold: the log must carry
 	// warn-level "slow request" lines with a stages attribute.
 	logs := logBuf.String()
 	if !strings.Contains(logs, `"msg":"slow request"`) {
@@ -235,6 +220,60 @@ func TestServeDebugAndSlowLog(t *testing.T) {
 	}
 	if !strings.Contains(logs, `"request_id"`) {
 		t.Error("log lines missing request_id")
+	}
+}
+
+// TestServeClientDisconnectIsNotServerError cancels a /v1/impute request's
+// context while its first BERT batch is being dispatched — what a client that
+// gives up mid-request does — and checks the outcome is accounted as the
+// client's: status 499 in the route histogram, no 5xx series, no SLO error
+// burn, no error-retained trace.
+func TestServeClientDisconnectIsNotServerError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	opts := defaultServeOptions()
+	opts.traceSample = 0 // only a tail trigger could retain the trace
+	opts.slowRequest = time.Hour
+	opts.slo = obs.NewSLOMonitor(obs.SLOConfig{MinRequests: 1}, nil, nil)
+	sys, h := newObsFixture(t, opts)
+	sparse := trainObsFixture(t, sys)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The observer runs on the dispatcher as the request's first queries
+	// leave the queue: the request is in flight, mid-search.
+	sys.Batcher().SetQueueWaitObserver(func(time.Duration) { cancel() })
+	body, _ := json.Marshal(sparse[0])
+	req := httptest.NewRequest(http.MethodPost, "/v1/impute", bytes.NewReader(body)).WithContext(ctx)
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if ctx.Err() == nil {
+		t.Fatal("the request never reached the batcher; nothing was cancelled")
+	}
+	if rec.Code != statusClientClosed || !strings.Contains(rec.Body.String(), codeClientClosed) {
+		t.Fatalf("cancelled impute: status %d body %s, want %d %s",
+			rec.Code, rec.Body.String(), statusClientClosed, codeClientClosed)
+	}
+
+	metrics := doReq(h, http.MethodGet, "/metrics", "", nil).Body.String()
+	if !strings.Contains(metrics, `kamel_http_request_duration_seconds_count{route="/v1/impute",status="499"} 1`) {
+		t.Errorf("no 499 sample in the route histogram:\n%s", grepLines(metrics, "kamel_http_request_duration_seconds_count"))
+	}
+	if strings.Contains(metrics, `status="5`) {
+		t.Errorf("a 5xx series moved:\n%s", grepLines(metrics, `status="5`))
+	}
+	if errBurn, _, _ := opts.slo.EvalOnce(); errBurn != 0 {
+		t.Errorf("SLO error burn = %v after a client disconnect, want 0", errBurn)
+	}
+	traceRec := doReq(h, http.MethodGet, "/v1/traces/"+rec.Header().Get("X-Kamel-Trace-ID"), "", nil)
+	var doc wireTraceDoc
+	if err := json.Unmarshal(traceRec.Body.Bytes(), &doc); err != nil || len(doc.Hops) != 1 {
+		t.Fatalf("trace lookup: status %d, err %v, body %s", traceRec.Code, err, traceRec.Body.String())
+	}
+	if hop := doc.Hops[0]; hop.Status != statusClientClosed || hop.Retained != "" {
+		t.Errorf("trace hop = status %d retained %q, want %d and not retained", hop.Status, hop.Retained, statusClientClosed)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"kamel/internal/batcher"
+	"kamel/internal/bert"
 	"kamel/internal/geo"
 	"kamel/internal/grid"
 	"kamel/internal/impute"
@@ -29,7 +30,8 @@ func trajEqual(a, b geo.Trajectory) bool {
 }
 
 // TestAdmissionBatchingParity: the same trajectories impute to identical
-// outputs with admission batching on and off — coalescing is a throughput
+// outputs whether their frontiers are coalesced into shared engine passes or
+// every query runs in an engine pass of its own — coalescing is a throughput
 // device, never a semantic one.
 func TestAdmissionBatchingParity(t *testing.T) {
 	if testing.Short() {
@@ -37,13 +39,11 @@ func TestAdmissionBatchingParity(t *testing.T) {
 	}
 	f := newFixture(t, nil)
 	sys := trainedSystem(t, f)
-	if sys.adm == nil {
-		t.Fatal("admission batching should be on by default")
-	}
-	// A read-only view with the batcher detached: same models, same search,
-	// inline predictions.
+	// A read-only view whose batcher never coalesces: same models, same
+	// search, one query per engine pass.
 	plain := sys.WithAblation(false, false)
-	plain.adm = nil
+	plain.adm = batcher.New(batcher.Options{MaxBatch: 1})
+	t.Cleanup(plain.adm.Close)
 
 	for i, tr := range f.test[:4] {
 		sp := tr.Sparsify(800)
@@ -53,12 +53,62 @@ func TestAdmissionBatchingParity(t *testing.T) {
 		}
 		want, _, err := plain.Impute(sp)
 		if err != nil {
-			t.Fatalf("traj %d (inline): %v", i, err)
+			t.Fatalf("traj %d (one query per pass): %v", i, err)
 		}
 		if !trajEqual(got, want) {
-			t.Fatalf("traj %d: batched imputation diverges from inline (%d vs %d points)",
+			t.Fatalf("traj %d: batched imputation diverges from unbatched (%d vs %d points)",
 				i, len(got.Points), len(want.Points))
 		}
+	}
+}
+
+// TestNoMultipointParity: the "No Multi." ablation asks BERT through the same
+// predictor as the multipoint algorithms — each gap's result equals the one
+// computed from a direct bert.PredictMasked call — and, like them, a
+// cancelled request aborts instead of running to completion.
+func TestNoMultipointParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	f := newFixture(t, nil)
+	sys := trainedSystem(t, f).WithAblation(false, true)
+	cfg := impute.Config{
+		Tokenizer: sys.tok, Checker: sys.checker,
+		MaxGapMeters: sys.cfg.MaxGapM, MaxCalls: sys.cfg.MaxCalls, TopK: sys.cfg.TopK, Beam: sys.cfg.Beam, Alpha: 1,
+	}
+	served := bundlePredictor{b: sys.global, adm: sys.adm}
+	ref := maskedReference(sys.global)
+	ctx := context.Background()
+	filled := 0
+	for i, req := range gapRequests(sys, f.test[:4], 800) {
+		got, err := singleShot(ctx, served, cfg, req)
+		if err != nil {
+			t.Fatalf("gap %d: %v", i, err)
+		}
+		want, err := singleShot(ctx, ref, cfg, req)
+		if err != nil {
+			t.Fatalf("gap %d (reference): %v", i, err)
+		}
+		if got.Failed != want.Failed || got.Prob != want.Prob || len(got.Tokens) != len(want.Tokens) {
+			t.Fatalf("gap %d: served %+v, reference %+v", i, got, want)
+		}
+		for j := range got.Tokens {
+			if got.Tokens[j] != want.Tokens[j] {
+				t.Fatalf("gap %d token %d: served %v, reference %v", i, j, got.Tokens[j], want.Tokens[j])
+			}
+		}
+		if !got.Failed {
+			filled++
+		}
+	}
+	if filled == 0 {
+		t.Fatal("no gap was filled; the comparison is vacuous")
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, err := sys.ImputeContext(cancelled, f.test[0].Sparsify(800)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled No-Multi imputation: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -217,16 +267,47 @@ func TestCloseDrainsBatcher(t *testing.T) {
 	}
 }
 
-// seqOnlyPredictor exposes only the single-query method of bundlePredictor,
-// so the impute layer degrades to one engine call per query: the fully
-// sequential pre-batching baseline the concurrency benchmarks compare
-// against.
-type seqOnlyPredictor struct {
-	p bundlePredictor
+// maskedReference answers every gap query with a bert.PredictMasked call of
+// its own, past the batcher: the single-sequence oracle the serving predictor
+// must match, and the fully sequential baseline of the concurrency
+// benchmarks.
+func maskedReference(b *modelBundle) impute.Predictor {
+	p := bundlePredictor{b: b}
+	return impute.PredictFunc(func(segment []grid.Cell, gapPos, topK int) ([]impute.Candidate, error) {
+		mq, err := p.maskQuery(segment, gapPos, topK)
+		if err != nil {
+			return nil, err
+		}
+		raw, err := b.model.PredictMasked(mq.Tokens, mq.MaskPos, mq.TopK)
+		if err != nil {
+			return nil, err
+		}
+		return p.filterCands(raw, topK), nil
+	})
 }
 
-func (s seqOnlyPredictor) Predict(segment []grid.Cell, gapPos, topK int) ([]impute.Candidate, error) {
-	return s.p.Predict(segment, gapPos, topK)
+// frontierReference stacks one request's frontier into one engine pass
+// without going through the batcher, so requests never share passes.
+type frontierReference struct{ p bundlePredictor }
+
+func (f frontierReference) Predict(_ context.Context, queries []impute.Query) ([][]impute.Candidate, error) {
+	mqs := make([]bert.MaskQuery, len(queries))
+	for i, q := range queries {
+		mq, err := f.p.maskQuery(q.Segment, q.GapPos, q.TopK)
+		if err != nil {
+			return nil, err
+		}
+		mqs[i] = mq
+	}
+	raws, err := f.p.b.model.PredictMaskedBatch(mqs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]impute.Candidate, len(queries))
+	for i, raw := range raws {
+		out[i] = f.p.filterCands(raw, queries[i].TopK)
+	}
+	return out, nil
 }
 
 // The concurrency benchmark trio measures per-gap latency under >=8
@@ -274,9 +355,9 @@ func benchImputeConcurrent(b *testing.B, mode string) {
 		var p impute.Predictor
 		switch mode {
 		case "sequential":
-			p = seqOnlyPredictor{p: bundlePredictor{b: sys.global}}
+			p = maskedReference(sys.global)
 		case "frontier":
-			p = bundlePredictor{b: sys.global}
+			p = frontierReference{p: bundlePredictor{b: sys.global}}
 		case "admission":
 			sys.adm.StreamEnter()
 			defer sys.adm.StreamExit()
@@ -286,7 +367,7 @@ func benchImputeConcurrent(b *testing.B, mode string) {
 		}
 		for pb.Next() {
 			req := reqs[int(next.Add(1))%len(reqs)]
-			if _, err := impute.Beam(p, cfg, req); err != nil {
+			if _, err := impute.Beam(context.Background(), p, cfg, req); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -148,11 +148,11 @@ func BenchmarkPredictorBERT(b *testing.B) {
 		Tokenizer: sys.tok, Checker: sys.checker,
 		MaxGapMeters: sys.cfg.MaxGapM, MaxCalls: 200, TopK: 40, Beam: 4, Alpha: 1,
 	}
-	p := bundlePredictor{b: sys.global}
+	p := bundlePredictor{b: sys.global, adm: sys.adm}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, req := range reqs {
-			if _, err := impute.Beam(p, cfg, req); err != nil {
+			if _, err := impute.Beam(context.Background(), p, cfg, req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -178,7 +178,7 @@ func BenchmarkPredictorNGram(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, req := range reqs {
-			if _, err := impute.Beam(m, cfg, req); err != nil {
+			if _, err := impute.Beam(context.Background(), impute.PredictFunc(m.Predict), cfg, req); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -109,9 +109,6 @@ type Config struct {
 	BatchMaxWait   time.Duration // coalescing window under concurrency (default 2ms; negative disables windowing)
 	BatchMaxQueue  int           // queued queries per model before shedding with ErrOverloaded (default 1024; negative unbounded)
 	BatchMaxStarve time.Duration // bulk-lane aging bound: wait beyond which dispatches reserve slots for bulk (default 100ms; negative disables)
-	// DisableAdmissionBatching computes predictions inline per request (the
-	// pre-batcher behaviour), for ablation and debugging.
-	DisableAdmissionBatching bool
 
 	// Ablation switches (§8.7, Fig 12-VI).
 	DisablePartitioning bool // "No Part.": one global model

@@ -88,10 +88,8 @@ func (s *System) ImputeContext(ctx context.Context, tr geo.Trajectory) (geo.Traj
 	// in flight, the admission batcher holds partial batches for its
 	// coalescing window; a lone stream always dispatches immediately, so
 	// unloaded latency is unchanged.
-	if s.adm != nil {
-		s.adm.StreamEnter()
-		defer s.adm.StreamExit()
-	}
+	s.adm.StreamEnter()
+	defer s.adm.StreamExit()
 
 	out := geo.Trajectory{ID: tr.ID}
 	cells := make([]grid.Cell, len(tr.Points))
@@ -297,32 +295,26 @@ func (s *System) imputeGap(ctx context.Context, ss *serveState, cells []grid.Cel
 	}
 	p := bundlePredictor{b: bundle, adm: s.adm}
 
-	if s.cfg.DisableMultipoint {
-		var t0 time.Time
-		if observe != nil {
-			t0 = time.Now()
-		}
-		res, ok := s.singleShot(p, cfg, req)
-		if observe != nil {
-			observe("impute.predict", time.Since(t0))
-		}
-		return res, degraded, ok, nil
-	}
 	// "impute.beam" is the whole multipoint search; its predict/constraints
 	// children are reported separately by the impute package via cfg.Observe,
-	// so the beam bucket overlaps them by design.
+	// so the beam bucket overlaps them by design.  The single call of the
+	// "No Multi." ablation is all predict.
+	stage := "impute.beam"
 	var t0 time.Time
 	if observe != nil {
 		t0 = time.Now()
 	}
-	switch s.cfg.Strategy {
-	case StrategyIterative:
-		res, err = impute.IterativeContext(ctx, p, cfg, req)
+	switch {
+	case s.cfg.DisableMultipoint:
+		stage = impute.StagePredict
+		res, err = singleShot(ctx, p, cfg, req)
+	case s.cfg.Strategy == StrategyIterative:
+		res, err = impute.Iterative(ctx, p, cfg, req)
 	default:
-		res, err = impute.BeamContext(ctx, p, cfg, req)
+		res, err = impute.Beam(ctx, p, cfg, req)
 	}
 	if observe != nil {
-		observe("impute.beam", time.Since(t0))
+		observe(stage, time.Since(t0))
 	}
 	if err != nil {
 		if systemImputeErr(ctx, err) {
@@ -334,20 +326,22 @@ func (s *System) imputeGap(ctx context.Context, ss *serveState, cells []grid.Cel
 }
 
 // singleShot implements the "No Multi." ablation (§8.7): exactly one BERT
-// call per gap, inserting only the top valid candidate.
-func (s *System) singleShot(p impute.Predictor, cfg impute.Config, req impute.Request) (impute.Result, bool) {
-	cands, err := p.Predict([]grid.Cell{req.S, req.D}, 0, cfg.TopK)
+// call per gap, inserting only the top valid candidate.  The call goes
+// through the same Predictor as the multipoint algorithms, so it is queued,
+// prioritized and cancellable like any other prediction.
+func singleShot(ctx context.Context, p impute.Predictor, cfg impute.Config, req impute.Request) (impute.Result, error) {
+	out, err := p.Predict(ctx, []impute.Query{{Segment: []grid.Cell{req.S, req.D}, TopK: cfg.TopK}})
 	if err != nil {
-		return impute.Result{Failed: true}, true
+		return impute.Result{}, err
 	}
 	seg := constraints.Segment{S: req.S, D: req.D, Prev: req.Prev, Next: req.Next, TimeDiff: req.TimeDiff}
-	cands = cfg.Checker.Filter(cands, seg)
+	cands := cfg.Checker.Filter(out[0], seg)
 	if len(cands) == 0 {
-		return impute.Result{Failed: true}, true
+		return impute.Result{Failed: true}, nil
 	}
 	return impute.Result{
 		Tokens: []grid.Cell{req.S, cands[0].Cell, req.D},
 		Prob:   cands[0].Prob,
 		Calls:  1,
-	}, true
+	}, nil
 }

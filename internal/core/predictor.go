@@ -11,16 +11,16 @@ import (
 	"kamel/internal/vocab"
 )
 
-// bundlePredictor adapts a trained modelBundle to the impute predictor
-// interfaces: the "Call BERT" arrow of Figure 1.  A gap query becomes a
-// masked-token prediction: [CLS] …prefix… S [MASK] D …suffix… [SEP], with
-// the window recentered around the mask when the segment outgrows the
-// model's sequence length.  Batches of gap queries flow through the model's
-// batched engine so a beam frontier costs one stacked forward pass; when an
-// admission batcher is attached (adm non-nil), frontiers are submitted
-// asynchronously instead, so concurrent requests hitting the same model
-// coalesce into shared engine passes.  The caller's model pin outlives the
-// future it waits on, so the engine never runs an unpinned model.
+// bundlePredictor adapts a trained modelBundle to impute.Predictor: the "Call
+// BERT" arrow of Figure 1.  A gap query becomes a masked-token prediction:
+// [CLS] …prefix… S [MASK] D …suffix… [SEP], with the window recentered around
+// the mask when the segment outgrows the model's sequence length.  Every
+// batch of gap queries — a beam frontier, a greedy round, the one query of
+// the "No Multi." ablation — is submitted to the admission batcher, keyed by
+// the bundle's engine, so concurrent requests hitting the same model coalesce
+// into shared PredictMaskedBatch passes under the batcher's queue bounds and
+// priority lanes.  The caller's model pin outlives the future Predict waits
+// on, so the engine never runs an unpinned model.
 type bundlePredictor struct {
 	b   *modelBundle
 	adm *batcher.Batcher
@@ -80,21 +80,11 @@ func (p bundlePredictor) filterCands(raw []bert.Candidate, topK int) []impute.Ca
 	return out
 }
 
-// Predict implements impute.Predictor.
-func (p bundlePredictor) Predict(segment []grid.Cell, gapPos int, topK int) ([]impute.Candidate, error) {
-	mq, err := p.maskQuery(segment, gapPos, topK)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := p.b.model.PredictMasked(mq.Tokens, mq.MaskPos, mq.TopK)
-	if err != nil {
-		return nil, err
-	}
-	return p.filterCands(raw, topK), nil
-}
-
-// maskQueries renders every gap query as a model-level masked query.
-func (p bundlePredictor) maskQueries(queries []impute.Query) ([]bert.MaskQuery, error) {
+// Predict implements impute.Predictor: render every gap query as a masked
+// query, enqueue them on the model's dispatcher at the priority carried on
+// ctx, wait for the engine pass (or ctx), and map the raw candidates back to
+// grid cells.
+func (p bundlePredictor) Predict(ctx context.Context, queries []impute.Query) ([][]impute.Candidate, error) {
 	mqs := make([]bert.MaskQuery, len(queries))
 	for i, q := range queries {
 		mq, err := p.maskQuery(q.Segment, q.GapPos, q.TopK)
@@ -103,73 +93,17 @@ func (p bundlePredictor) maskQueries(queries []impute.Query) ([]bert.MaskQuery, 
 		}
 		mqs[i] = mq
 	}
-	return mqs, nil
-}
-
-// candsOf converts one batch of raw engine candidates back to grid cells.
-func (p bundlePredictor) candsOf(queries []impute.Query, raws [][]bert.Candidate) [][]impute.Candidate {
-	out := make([][]impute.Candidate, len(queries))
-	for i, raw := range raws {
-		out[i] = p.filterCands(raw, queries[i].TopK)
-	}
-	return out
-}
-
-// PredictBatch implements impute.BatchPredictor: every gap query becomes one
-// masked query of a single PredictMaskedBatch engine pass.
-func (p bundlePredictor) PredictBatch(queries []impute.Query) ([][]impute.Candidate, error) {
-	mqs, err := p.maskQueries(queries)
-	if err != nil {
-		return nil, err
-	}
-	raws, err := p.b.model.PredictMaskedBatch(mqs)
-	if err != nil {
-		return nil, err
-	}
-	return p.candsOf(queries, raws), nil
-}
-
-// Submit implements impute.AsyncPredictor.  With an admission batcher
-// attached the queries enqueue on the model's dispatcher — keyed by the
-// bundle's engine, so every concurrent request for this model lands in the
-// same queue — at the priority carried on ctx.  Without one, the batch is
-// computed inline (the degenerate future), preserving the pre-batcher
-// behaviour for ablations.
-func (p bundlePredictor) Submit(ctx context.Context, queries []impute.Query) (impute.Future, error) {
-	if p.adm == nil {
-		out, err := p.PredictBatch(queries)
-		return syncPredFuture{out: out, err: err}, nil
-	}
-	mqs, err := p.maskQueries(queries)
-	if err != nil {
-		return nil, err
-	}
 	fut, err := p.adm.Submit(ctx, p.b.model, mqs, PriorityOf(ctx))
 	if err != nil {
 		return nil, err
 	}
-	return &admFuture{p: p, queries: queries, fut: fut}, nil
-}
-
-// syncPredFuture is an already-computed submission result.
-type syncPredFuture struct {
-	out [][]impute.Candidate
-	err error
-}
-
-func (f syncPredFuture) Wait(context.Context) ([][]impute.Candidate, error) { return f.out, f.err }
-
-// admFuture resolves a batcher future back into grid-cell candidates.
-type admFuture struct {
-	p       bundlePredictor
-	queries []impute.Query
-	fut     *batcher.Future
-}
-
-func (f *admFuture) Wait(ctx context.Context) ([][]impute.Candidate, error) {
-	raws, err := f.fut.Wait(ctx)
+	raws, err := fut.Wait(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return f.p.candsOf(f.queries, raws), nil
+	out := make([][]impute.Candidate, len(queries))
+	for i, raw := range raws {
+		out[i] = p.filterCands(raw, queries[i].TopK)
+	}
+	return out, nil
 }

@@ -87,10 +87,10 @@ type System struct {
 	cache *modelcache.Cache
 
 	// adm coalesces concurrent requests' BERT predictions into shared
-	// engine passes (internal/batcher).  Nil when admission batching is
-	// disabled; shared by WithAblation clones.  Its per-model dispatchers
-	// are keyed by engine value and exit when drained, so snapshot churn
-	// and cache evictions never leak goroutines; Close drains it.
+	// engine passes (internal/batcher); shared by WithAblation clones.  Its
+	// per-model dispatchers are keyed by engine value and exit when drained,
+	// so snapshot churn and cache evictions never leak goroutines; Close
+	// drains it.
 	adm *batcher.Batcher
 
 	// maintMu serializes model rebuilds (pyramid maintenance, repository
@@ -205,19 +205,17 @@ func (s *System) initObs() {
 			return float64(s.curIndex.QuarantinedModels())
 		})
 	s.cache.Instrument(reg)
-	if !s.cfg.DisableAdmissionBatching {
-		s.adm = batcher.New(batcher.Options{
-			MaxBatch:  s.cfg.BatchMaxSize,
-			MaxWait:   s.cfg.BatchMaxWait,
-			MaxQueue:  s.cfg.BatchMaxQueue,
-			MaxStarve: s.cfg.BatchMaxStarve,
-			Registry:  reg,
-		})
-	}
+	s.adm = batcher.New(batcher.Options{
+		MaxBatch:  s.cfg.BatchMaxSize,
+		MaxWait:   s.cfg.BatchMaxWait,
+		MaxQueue:  s.cfg.BatchMaxQueue,
+		MaxStarve: s.cfg.BatchMaxStarve,
+		Registry:  reg,
+	})
 }
 
-// Batcher returns the admission batcher, or nil when admission batching is
-// disabled.  The serving layer reads its coalescing stats.
+// Batcher returns the admission batcher.  The serving layer feeds its queue
+// waits to the admission controller.
 func (s *System) Batcher() *batcher.Batcher { return s.adm }
 
 // publishLocked snapshots the current trained state into a fresh serveState
@@ -364,9 +362,7 @@ func (s *System) Close() error {
 	// Drain the admission batcher first: queued predictions fail with
 	// batcher.ErrClosed (so in-flight imputations unblock and error out) and
 	// running engine passes finish delivering before the store goes away.
-	if s.adm != nil {
-		s.adm.Close()
-	}
+	s.adm.Close()
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
 	s.mu.Lock()
@@ -473,9 +469,7 @@ func (s *System) SystemStats() Stats {
 	}
 	out.SnapshotGeneration = s.pubSeq
 	out.MaintenancePending = s.pendingRebuilds.Load()
-	if s.adm != nil {
-		out.Batcher = s.adm.Stats()
-	}
+	out.Batcher = s.adm.Stats()
 	cs := s.cache.Stats()
 	out.ModelCacheBudgetBytes = cs.BudgetBytes
 	out.ModelCacheBytes = cs.Bytes

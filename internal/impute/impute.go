@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"kamel/internal/constraints"
@@ -22,13 +23,45 @@ import (
 // Candidate is one predicted gap filler.
 type Candidate = constraints.Candidate
 
-// Predictor abstracts the BERT call of Figure 1: given a token segment and a
-// gap position (a token is to be inserted between segment[gapPos] and
-// segment[gapPos+1]), return up to topK candidate tokens with probabilities.
-// KAMEL's core wires a trained BERT model behind this; tests use synthetic
-// predictors.
+// Query is one prediction request: a token is to be inserted between
+// Segment[GapPos] and Segment[GapPos+1], and up to TopK candidates are wanted.
+type Query struct {
+	Segment []grid.Cell
+	GapPos  int
+	TopK    int
+}
+
+// Predictor abstracts the BERT call of Figure 1.  The paper's algorithms are
+// stated one call at a time; here every iteration first collects all the
+// predictions it is about to need — Algorithm 2's whole beam frontier,
+// Algorithm 1's every open gap — and asks for them in one blocking Predict.
+// Results are per query, in query order, and must be what one-query calls
+// would return: batching is a throughput device, never a semantic one.
+// KAMEL's core answers through its cross-request admission batcher (request
+// priority and deadline ride on ctx); baselines and tests wrap a per-query
+// function in PredictFunc.
 type Predictor interface {
-	Predict(segment []grid.Cell, gapPos int, topK int) ([]Candidate, error)
+	Predict(ctx context.Context, queries []Query) ([][]Candidate, error)
+}
+
+// PredictFunc adapts a per-query prediction function (an n-gram model, a
+// synthetic test predictor) to Predictor by answering the queries in a loop.
+type PredictFunc func(segment []grid.Cell, gapPos, topK int) ([]Candidate, error)
+
+// Predict implements Predictor.
+func (f PredictFunc) Predict(ctx context.Context, queries []Query) ([][]Candidate, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	out := make([][]Candidate, len(queries))
+	for i, q := range queries {
+		cands, err := f(q.Segment, q.GapPos, q.TopK)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = cands
+	}
+	return out, nil
 }
 
 // Config parameterizes both imputation algorithms.
@@ -151,11 +184,117 @@ func lineFallback(cfg Config, req Request, reason string) Result {
 	}
 }
 
-// Iterative implements Algorithm 1: repeatedly insert the most probable
-// valid token into every remaining gap until no gap exceeds max_gap.  It is
-// IterativeContext without cancellation.
-func Iterative(p Predictor, cfg Config, req Request) (Result, error) {
-	return IterativeContext(context.Background(), p, cfg, req)
+// ctxErr wraps a context error for propagation through the impute layer.
+func ctxErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("impute: %w", err)
+	}
+	return nil
+}
+
+// Stage names reported through Config.Observe.
+const (
+	StagePredict     = "impute.predict"     // batched predictor (BERT) calls
+	StageConstraints = "impute.constraints" // candidate validation per round
+)
+
+// predictTimed asks the predictor for one batch of queries, reporting the
+// wall time (queue wait + engine pass, for core's predictor) to the configured
+// observer.  With no observer it skips the clock reads.
+func predictTimed(ctx context.Context, p Predictor, cfg Config, queries []Query) ([][]Candidate, error) {
+	if cfg.Observe == nil {
+		return p.Predict(ctx, queries)
+	}
+	t0 := time.Now()
+	out, err := p.Predict(ctx, queries)
+	cfg.Observe(StagePredict, time.Since(t0))
+	return out, err
+}
+
+// Iterative implements Algorithm 1, the greedy approach: each round finds
+// every gap wider than max_gap, asks the predictor for all of them in one
+// batch, and inserts the most probable valid candidate into each (right to
+// left, so earlier gap indices stay valid).  A round that inserts nothing is
+// a dead end.  The call budget counts queries, not batches, so it matches the
+// sequential algorithm's accounting.  The context is checked between
+// predictor calls, so a cancelled request abandons the search without
+// spending the rest of its budget.
+func Iterative(ctx context.Context, p Predictor, cfg Config, req Request) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if req.S == req.D {
+		return Result{Tokens: []grid.Cell{req.S}, Prob: 1}, nil
+	}
+	seg := []grid.Cell{req.S, req.D}
+	sc := req.segment()
+	maxGap := cfg.effectiveMaxGap()
+	maxPath := cfg.Checker.MaxPathMeters(sc)
+	calls := 0
+	prob := 1.0
+
+	for {
+		gaps := findGaps(cfg.Tokenizer, seg, maxGap)
+		if len(gaps) == 0 {
+			return Result{Tokens: seg, Prob: normalize(prob, len(seg)-2, cfg.Alpha), Calls: calls, Reason: "ok"}, nil
+		}
+		if err := ctxErr(ctx); err != nil {
+			return Result{}, err
+		}
+		if calls+len(gaps) > cfg.MaxCalls {
+			// The sequential algorithm would burn the remaining budget on a
+			// prefix of these gaps and then fail to a line anyway; skip
+			// straight to the fallback with the budget marked spent.
+			r := lineFallback(cfg, req, "budget")
+			r.Calls = cfg.MaxCalls
+			return r, nil
+		}
+		queries := make([]Query, len(gaps))
+		for i, gap := range gaps {
+			queries[i] = Query{Segment: seg, GapPos: gap, TopK: cfg.TopK}
+		}
+		results, err := predictTimed(ctx, p, cfg, queries)
+		if err != nil {
+			return Result{}, fmt.Errorf("impute: predictor: %w", err)
+		}
+		calls += len(gaps)
+
+		// Insert right to left: an insertion at gap g shifts only indices
+		// above g, so earlier gaps in the same round stay addressable.
+		var checkStart time.Time
+		if cfg.Observe != nil {
+			checkStart = time.Now()
+		}
+		inserted := false
+		for gi := len(gaps) - 1; gi >= 0; gi-- {
+			gap := gaps[gi]
+			cands := cfg.Checker.Filter(results[gi], sc)
+			for _, cand := range cands {
+				if cand.Cell == seg[gap] || cand.Cell == seg[gap+1] {
+					continue // trivial cycle with a gap endpoint (§5.2, x=1)
+				}
+				next := insertAt(seg, gap+1, cand.Cell)
+				if cfg.Checker.HasCycle(next[:gap+2]) {
+					continue // §5.2: reject outcomes that close a cycle
+				}
+				if pathLen(cfg.Tokenizer, next) > maxPath {
+					continue // §5.1: would exceed the physically drivable length
+				}
+				seg = next
+				prob *= cand.Prob
+				inserted = true
+				break
+			}
+		}
+		if cfg.Observe != nil {
+			cfg.Observe(StageConstraints, time.Since(checkStart))
+		}
+		if !inserted {
+			r := lineFallback(cfg, req, "dead-end")
+			r.Calls = calls
+			return r, nil
+		}
+	}
 }
 
 // pathLen returns the summed centroid distance along a token sequence.
@@ -202,11 +341,149 @@ type beamSeg struct {
 }
 
 // Beam implements Algorithm 2: bidirectional beam search over partial
-// segments.  Each iteration expands every remaining gap of every beam
-// segment with the top-B valid candidates, keeps the best B new segments,
-// concludes the gap-free ones into the answer set with normalized scores,
-// and prunes anything scoring below the best concluded answer.  It is
-// BeamContext without cancellation.
-func Beam(p Predictor, cfg Config, req Request) (Result, error) {
-	return BeamContext(context.Background(), p, cfg, req)
+// segments.  Each iteration gathers the entire frontier — every remaining gap
+// of every beam segment — into one Predict call, expands each with its top-B
+// valid candidates, deduplicates, keeps the best B new segments, concludes
+// the gap-free ones into the answer set with normalized scores, and prunes
+// anything scoring below the best concluded answer.  The context is checked
+// between predictor calls, like Iterative.
+func Beam(ctx context.Context, p Predictor, cfg Config, req Request) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if req.S == req.D {
+		return Result{Tokens: []grid.Cell{req.S}, Prob: 1}, nil
+	}
+	sc := req.segment()
+	maxGap := cfg.effectiveMaxGap()
+	maxPath := cfg.Checker.MaxPathMeters(sc)
+	calls := 0
+
+	start := beamSeg{tokens: []grid.Cell{req.S, req.D}, prob: 1}
+	if findFirstGap(cfg.Tokenizer, start.tokens, maxGap) < 0 {
+		return Result{Tokens: start.tokens, Prob: 1}, nil
+	}
+
+	type answer struct {
+		tokens []grid.Cell
+		score  float64
+	}
+	var best *answer
+	probLimit := 0.0 // lower bound on normalized score, per the §6.2 example
+
+	live := []beamSeg{start}
+	for len(live) > 0 {
+		// Collect the whole frontier: one query per (segment, gap) pair.
+		type expansion struct {
+			seg beamSeg
+			gap int
+		}
+		var frontier []expansion
+		for _, bs := range live {
+			for _, gap := range findGaps(cfg.Tokenizer, bs.tokens, maxGap) {
+				frontier = append(frontier, expansion{seg: bs, gap: gap})
+			}
+		}
+		if err := ctxErr(ctx); err != nil {
+			return Result{}, err
+		}
+		if calls+len(frontier) > cfg.MaxCalls {
+			// The sequential algorithm spends the remaining budget on a prefix
+			// of the frontier and then discards that iteration's partial
+			// expansions, so the batched path can skip the work entirely:
+			// return the best concluded answer, or fail to a straight line.
+			calls = cfg.MaxCalls
+			if best != nil {
+				return Result{Tokens: best.tokens, Prob: best.score, Calls: calls, Reason: "ok"}, nil
+			}
+			r := lineFallback(cfg, req, "budget")
+			r.Calls = calls
+			return r, nil
+		}
+		queries := make([]Query, len(frontier))
+		for i, e := range frontier {
+			queries[i] = Query{Segment: e.seg.tokens, GapPos: e.gap, TopK: cfg.TopK}
+		}
+		results, err := predictTimed(ctx, p, cfg, queries)
+		if err != nil {
+			return Result{}, fmt.Errorf("impute: predictor: %w", err)
+		}
+		calls += len(frontier)
+
+		var checkStart time.Time
+		if cfg.Observe != nil {
+			checkStart = time.Now()
+		}
+		var fresh []beamSeg
+		for fi, e := range frontier {
+			cands := cfg.Checker.Filter(results[fi], sc)
+			n := 0
+			for _, cand := range cands {
+				if n >= cfg.Beam {
+					break
+				}
+				if cand.Cell == e.seg.tokens[e.gap] || cand.Cell == e.seg.tokens[e.gap+1] {
+					continue // trivial cycle with a gap endpoint (§5.2, x=1)
+				}
+				next := insertAt(e.seg.tokens, e.gap+1, cand.Cell)
+				if cfg.Checker.HasCycle(next[:e.gap+2]) {
+					continue
+				}
+				if pathLen(cfg.Tokenizer, next) > maxPath {
+					continue // §5.1: exceeds the drivable length bound
+				}
+				fresh = append(fresh, beamSeg{tokens: next, prob: e.seg.prob * cand.Prob})
+				n++
+			}
+		}
+		if cfg.Observe != nil {
+			cfg.Observe(StageConstraints, time.Since(checkStart))
+		}
+		if len(fresh) == 0 {
+			break
+		}
+		// Deduplicate segments reachable via different insertion orders,
+		// keeping the most probable, then TopB with the probability lower
+		// bound (Algorithm 2 line 13).
+		sort.Slice(fresh, func(i, j int) bool { return fresh[i].prob > fresh[j].prob })
+		seen := make(map[string]bool, len(fresh))
+		dedup := fresh[:0]
+		for _, bs := range fresh {
+			k := segKey(bs.tokens)
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			dedup = append(dedup, bs)
+		}
+		fresh = dedup
+		if len(fresh) > cfg.Beam {
+			fresh = fresh[:cfg.Beam]
+		}
+		live = live[:0]
+		for _, bs := range fresh {
+			imputed := len(bs.tokens) - 2
+			score := normalize(bs.prob, imputed, cfg.Alpha)
+			if best != nil && score < probLimit {
+				continue // pruned: cannot beat a concluded answer
+			}
+			if len(findGaps(cfg.Tokenizer, bs.tokens, maxGap)) == 0 {
+				if best == nil || score > best.score {
+					best = &answer{tokens: bs.tokens, score: score}
+					if score > probLimit {
+						probLimit = score
+					}
+				}
+				continue
+			}
+			live = append(live, bs)
+		}
+	}
+
+	if best == nil {
+		r := lineFallback(cfg, req, "dead-end")
+		r.Calls = calls
+		return r, nil
+	}
+	return Result{Tokens: best.tokens, Prob: best.score, Calls: calls, Reason: "ok"}, nil
 }

@@ -1,6 +1,7 @@
 package impute
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -17,13 +18,18 @@ type midpointPredictor struct {
 	g grid.Grid
 }
 
-func (m midpointPredictor) Predict(segment []grid.Cell, gapPos int, topK int) ([]Candidate, error) {
+func (m midpointPredictor) predict(segment []grid.Cell, gapPos int, topK int) ([]Candidate, error) {
 	a := m.g.Centroid(segment[gapPos])
 	b := m.g.Centroid(segment[gapPos+1])
 	mid := m.g.CellAt(a.Add(b.Sub(a).Scale(0.5)))
 	decoy := m.g.CellAt(a.Add(geo.XY{X: 9e5, Y: 9e5}))
 	return []Candidate{{Cell: mid, Prob: 0.8}, {Cell: decoy, Prob: 0.1}}, nil
 }
+
+// midpoint is the midpointPredictor behind the one Predictor interface.
+func midpoint(g grid.Grid) Predictor { return PredictFunc(midpointPredictor{g}.predict) }
+
+var bg = context.Background()
 
 func testCfg() (Config, grid.Grid) {
 	g := grid.NewHex(50)
@@ -56,7 +62,7 @@ func checkDense(t *testing.T, g grid.Grid, tokens []grid.Cell, maxGap float64, r
 func TestIterativeFillsGap(t *testing.T) {
 	cfg, g := testCfg()
 	req := mkRequest(g, 800)
-	res, err := Iterative(midpointPredictor{g}, cfg, req)
+	res, err := Iterative(bg, midpoint(g), cfg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +81,7 @@ func TestIterativeFillsGap(t *testing.T) {
 func TestBeamFillsGap(t *testing.T) {
 	cfg, g := testCfg()
 	req := mkRequest(g, 800)
-	res, err := Beam(midpointPredictor{g}, cfg, req)
+	res, err := Beam(bg, midpoint(g), cfg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,49 +95,47 @@ func TestTrivialSegments(t *testing.T) {
 	cfg, g := testCfg()
 	s := g.CellAt(geo.XY{X: 0, Y: 0})
 	// Same cell.
-	res, _ := Iterative(midpointPredictor{g}, cfg, Request{S: s, D: s})
+	res, _ := Iterative(bg, midpoint(g), cfg, Request{S: s, D: s})
 	if len(res.Tokens) != 1 || res.Failed {
 		t.Error("same-cell request must be trivial")
 	}
 	// Already-dense segment: no predictor call needed.
 	req := mkRequest(g, 100)
-	res, _ = Beam(failingPredictor{}, cfg, req)
+	res, _ = Beam(bg, failingPredictor, cfg, req)
 	if res.Failed || res.Calls != 0 {
 		t.Errorf("dense segment must not call the predictor: %+v", res)
 	}
 }
 
 // failingPredictor always errors.
-type failingPredictor struct{}
-
-func (failingPredictor) Predict([]grid.Cell, int, int) ([]Candidate, error) {
+var failingPredictor = PredictFunc(func([]grid.Cell, int, int) ([]Candidate, error) {
 	return nil, errors.New("boom")
-}
+})
 
 func TestPredictorErrorsPropagate(t *testing.T) {
 	cfg, g := testCfg()
 	req := mkRequest(g, 800)
-	if _, err := Iterative(failingPredictor{}, cfg, req); err == nil {
+	if _, err := Iterative(bg, failingPredictor, cfg, req); err == nil {
 		t.Error("iterative must propagate predictor errors")
 	}
-	if _, err := Beam(failingPredictor{}, cfg, req); err == nil {
+	if _, err := Beam(bg, failingPredictor, cfg, req); err == nil {
 		t.Error("beam must propagate predictor errors")
 	}
 }
 
 // uselessPredictor returns candidates that never survive the constraints.
-type uselessPredictor struct{ g grid.Grid }
-
-func (u uselessPredictor) Predict(segment []grid.Cell, gapPos int, topK int) ([]Candidate, error) {
-	return []Candidate{{Cell: u.g.CellAt(geo.XY{X: 5e6, Y: 5e6}), Prob: 0.9}}, nil
+func uselessPredictor(g grid.Grid) Predictor {
+	return PredictFunc(func([]grid.Cell, int, int) ([]Candidate, error) {
+		return []Candidate{{Cell: g.CellAt(geo.XY{X: 5e6, Y: 5e6}), Prob: 0.9}}, nil
+	})
 }
 
 func TestFallbackToLine(t *testing.T) {
 	cfg, g := testCfg()
 	req := mkRequest(g, 800)
 	for name, run := range map[string]func() (Result, error){
-		"iterative": func() (Result, error) { return Iterative(uselessPredictor{g}, cfg, req) },
-		"beam":      func() (Result, error) { return Beam(uselessPredictor{g}, cfg, req) },
+		"iterative": func() (Result, error) { return Iterative(bg, uselessPredictor(g), cfg, req) },
+		"beam":      func() (Result, error) { return Beam(bg, uselessPredictor(g), cfg, req) },
 	} {
 		res, err := run()
 		if err != nil {
@@ -151,7 +155,7 @@ func TestCallBudgetEnforced(t *testing.T) {
 	cfg, g := testCfg()
 	cfg.MaxCalls = 3
 	req := mkRequest(g, 3000) // needs ~25 tokens: budget is far too small
-	res, err := Iterative(midpointPredictor{g}, cfg, req)
+	res, err := Iterative(bg, midpoint(g), cfg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +176,7 @@ type trapPredictor struct {
 	trap grid.Cell
 }
 
-func (tp trapPredictor) Predict(segment []grid.Cell, gapPos int, topK int) ([]Candidate, error) {
+func (tp trapPredictor) predict(segment []grid.Cell, gapPos int, topK int) ([]Candidate, error) {
 	a := segment[gapPos]
 	b := segment[gapPos+1]
 	if a == tp.trap || b == tp.trap {
@@ -194,16 +198,16 @@ func TestBeamRecoversWhereGreedyFails(t *testing.T) {
 	// The trap sits between S and D but off to the side, so it passes the
 	// constraints yet leads nowhere.
 	trap := g.CellAt(geo.XY{X: 250, Y: 200})
-	p := trapPredictor{g: g, trap: trap}
+	p := PredictFunc(trapPredictor{g: g, trap: trap}.predict)
 
-	it, err := Iterative(p, cfg, req)
+	it, err := Iterative(bg, p, cfg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !it.Failed {
 		t.Fatal("greedy should dead-end in the trap scenario")
 	}
-	bm, err := Beam(p, cfg, req)
+	bm, err := Beam(bg, p, cfg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,5 +273,122 @@ func TestFindGaps(t *testing.T) {
 	}
 	if got := findFirstGap(tk, tokens[1:], 120); got != -1 {
 		t.Errorf("dense segment findFirstGap = %d, want -1", got)
+	}
+}
+
+// countingPredictor is a native Predictor over midpointPredictor that records
+// how work arrives, so tests can assert the algorithms batch.  onCall, when
+// set, runs after each Predict.
+type countingPredictor struct {
+	inner   midpointPredictor
+	calls   int
+	queries int
+	onCall  func()
+}
+
+func (c *countingPredictor) Predict(ctx context.Context, queries []Query) ([][]Candidate, error) {
+	c.calls++
+	c.queries += len(queries)
+	if c.onCall != nil {
+		defer c.onCall()
+	}
+	return PredictFunc(c.inner.predict).Predict(ctx, queries)
+}
+
+// TestPredictFunc: the per-query adapter answers queries in order, propagates
+// the function's errors, and refuses a cancelled context.
+func TestPredictFunc(t *testing.T) {
+	_, g := testCfg()
+	req := mkRequest(g, 800)
+	seg := []grid.Cell{req.S, req.D}
+	queries := []Query{
+		{Segment: seg, GapPos: 0, TopK: 5},
+		{Segment: seg, GapPos: 0, TopK: 5},
+	}
+	got, err := midpoint(g).Predict(bg, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("adapter returned %d result lists, want 2", len(got))
+	}
+	want, _ := midpointPredictor{g}.predict(seg, 0, 5)
+	for _, cands := range got {
+		if len(cands) != len(want) || cands[0] != want[0] {
+			t.Fatalf("adapter results diverge from the per-query function: %v vs %v", cands, want)
+		}
+	}
+	if _, err := failingPredictor.Predict(bg, queries); err == nil {
+		t.Fatal("adapter must propagate the function's errors")
+	}
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	if _, err := midpoint(g).Predict(ctx, queries); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: error %v, want context.Canceled", err)
+	}
+}
+
+var algorithms = map[string]func(context.Context, Predictor, Config, Request) (Result, error){
+	"iterative": Iterative,
+	"beam":      Beam,
+}
+
+// TestAlgorithmsBatchFrontiers: both algorithms hand the predictor whole
+// frontiers — fewer Predict calls than queries — and Result.Calls counts
+// queries, matching the sequential algorithms' budget accounting.
+func TestAlgorithmsBatchFrontiers(t *testing.T) {
+	cfg, g := testCfg()
+	req := mkRequest(g, 800)
+	for name, run := range algorithms {
+		p := &countingPredictor{inner: midpointPredictor{g}}
+		res, err := run(bg, p, cfg, req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Failed {
+			t.Fatalf("%s: unexpected failure", name)
+		}
+		if p.queries != res.Calls {
+			t.Errorf("%s: result reports %d calls but predictor saw %d queries", name, res.Calls, p.queries)
+		}
+		if p.calls >= p.queries {
+			t.Errorf("%s: %d Predict calls for %d queries; nothing was batched", name, p.calls, p.queries)
+		}
+	}
+}
+
+// TestContextCancellation: a cancelled context must surface ctx.Err() before
+// the predictor is consulted again, leaving the call budget unspent.
+func TestContextCancellation(t *testing.T) {
+	cfg, g := testCfg()
+	req := mkRequest(g, 3000)
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	for name, run := range algorithms {
+		p := &countingPredictor{inner: midpointPredictor{g}}
+		_, err := run(ctx, p, cfg, req)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error %v, want context.Canceled", name, err)
+		}
+		if p.calls != 0 {
+			t.Errorf("%s: predictor consulted %d times after cancellation", name, p.calls)
+		}
+	}
+}
+
+// TestContextCancelledMidSearch cancels after the first batch: the search
+// must stop well before the budget is spent.
+func TestContextCancelledMidSearch(t *testing.T) {
+	cfg, g := testCfg()
+	cfg.MaxCalls = 300
+	req := mkRequest(g, 3000)
+	ctx, cancel := context.WithCancel(bg)
+	p := &countingPredictor{inner: midpointPredictor{g}, onCall: cancel}
+	_, err := Beam(ctx, p, cfg, req)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want context.Canceled", err)
+	}
+	if p.calls != 1 || p.queries >= cfg.MaxCalls {
+		t.Fatalf("%d calls / %d of %d budget spent despite cancellation", p.calls, p.queries, cfg.MaxCalls)
 	}
 }

@@ -18,7 +18,7 @@ type scriptedPredictor struct {
 	calls   int
 }
 
-func (s *scriptedPredictor) Predict(segment []grid.Cell, gapPos int, topK int) ([]Candidate, error) {
+func (s *scriptedPredictor) predict(segment []grid.Cell, gapPos int, topK int) ([]Candidate, error) {
 	s.calls++
 	key := [2]grid.Cell{segment[gapPos], segment[gapPos+1]}
 	if cands, ok := s.scripts[key]; ok {
@@ -42,7 +42,7 @@ func TestIterativeFillsLeftToRight(t *testing.T) {
 	s := g.CellAt(geo.XY{X: 0, Y: 0})
 	d := g.CellAt(geo.XY{X: 400, Y: 0})
 	p := &scriptedPredictor{g: g, scripts: map[[2]grid.Cell][]Candidate{}}
-	res, err := Iterative(p, cfg, Request{S: s, D: d})
+	res, err := Iterative(bg, PredictFunc(p.predict), cfg, Request{S: s, D: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestBeamPrefersHigherNormalizedScore(t *testing.T) {
 	p := &scriptedPredictor{g: g, scripts: map[[2]grid.Cell][]Candidate{
 		{s, d}: {{Cell: mid1, Prob: 0.6}, {Cell: mid2, Prob: 0.4}},
 	}}
-	res, err := Beam(p, cfg, Request{S: s, D: d})
+	res, err := Beam(bg, PredictFunc(p.predict), cfg, Request{S: s, D: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBeamWidthHonored(t *testing.T) {
 	s := g.CellAt(geo.XY{X: 0, Y: 0})
 	d := g.CellAt(geo.XY{X: 600, Y: 0})
 	p := &scriptedPredictor{g: g, scripts: map[[2]grid.Cell][]Candidate{}}
-	res, err := Beam(p, cfg, Request{S: s, D: d})
+	res, err := Beam(bg, PredictFunc(p.predict), cfg, Request{S: s, D: d})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,8 +60,8 @@ func addCount(table map[grid.Cell]map[grid.Cell]float64, k, v grid.Cell) {
 // Vocab returns the number of distinct tokens seen.
 func (m *Model) Vocab() int { return len(m.unigram) }
 
-// Predict implements impute.Predictor: candidates for the token between
-// segment[gapPos] and segment[gapPos+1], scored by the product of the
+// Predict has the impute.PredictFunc signature: candidates for the token
+// between segment[gapPos] and segment[gapPos+1], scored by the product of the
 // forward probability P(t|left) and the backward probability P(t|right),
 // each backed off to the unigram distribution with a small weight.
 func (m *Model) Predict(segment []grid.Cell, gapPos int, topK int) ([]constraints.Candidate, error) {

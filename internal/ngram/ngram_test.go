@@ -1,6 +1,7 @@
 package ngram
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -98,7 +99,7 @@ func TestDrivesImputation(t *testing.T) {
 	cfg := impute.DefaultConfig(tk, ch)
 	cfg.Beam = 3
 	req := impute.Request{S: corridor[0], D: corridor[len(corridor)-1]}
-	res, err := impute.Beam(m, cfg, req)
+	res, err := impute.Beam(context.Background(), impute.PredictFunc(m.Predict), cfg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,5 +116,3 @@ func TestDrivesImputation(t *testing.T) {
 		}
 	}
 }
-
-var _ impute.Predictor = (*Model)(nil)

@@ -178,8 +178,7 @@ type StageSummary struct {
 // never mutated afterwards, so they are readable without the lock.
 type Trace struct {
 	// TraceID is the 32-hex request identity shared by every hop of one
-	// distributed request; empty on identity-less traces (NewTrace), which
-	// only feed the inline ?debug=1 breakdown.
+	// distributed request; empty on identity-less traces (NewTrace).
 	TraceID string
 	// SpanID is this hop's own 16-hex identity, the ParentSpanID of any hop
 	// this node forwards to.
@@ -199,7 +198,7 @@ type Trace struct {
 }
 
 // NewTrace starts an empty identity-less trace clocked from now — the
-// ?debug=1 and bench-harness recorder.  Serving paths use NewRootTrace /
+// bench-harness recorder.  Serving paths use NewRootTrace /
 // NewChildTrace so the trace participates in distributed retention.
 func NewTrace() *Trace {
 	return &Trace{start: time.Now(), totals: make(map[string]*StageSummary)}
@@ -272,9 +271,6 @@ func (t *Trace) Stages() []StageSummary {
 	}
 	return out
 }
-
-// Elapsed is the time since the trace started.
-func (t *Trace) Elapsed() time.Duration { return time.Since(t.start) }
 
 // Start is the trace's start time.
 func (t *Trace) Start() time.Time { return t.start }

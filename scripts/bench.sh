@@ -30,9 +30,8 @@
 #
 # The capacity block (TestCapacityRecord, driving internal/loadgen's
 # open-loop Poisson generator against in-process nodes) records the offered
-# vs goodput curves with p50/p99/p999 and shed rates for a single adaptive
-# node, a single fixed-bucket node (the A/B the adaptive admission controller
-# is judged by, at the past-saturation rate), and a 3-node cluster gateway.
+# vs goodput curves with p50/p99/p999 and shed rates for a single node and a
+# 3-node cluster gateway.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME=... overrides the per-benchmark budget (default 10x; use e.g.
@@ -73,9 +72,9 @@ go run ./cmd/kamel-bench -stage-latency "$stages"
 go run ./cmd/kamel-bench -tokenizer-ab "$tokab" \
 	-scale "${TOKAB_SCALE:-0.5}" -tests "${TOKAB_TESTS:-4}" -steps "${TOKAB_STEPS:-300}"
 
-# Capacity curves: the open-loop sweep (single adaptive, single fixed A/B,
-# 3-node cluster).  Each sweep seeds its target over the wire, so this is the
-# slowest block; SKIP_CAPACITY=1 leaves an empty object in its place.
+# Capacity curves: the open-loop sweep (single node, 3-node cluster).  Each
+# sweep seeds its target over the wire, so this is the slowest block;
+# SKIP_CAPACITY=1 leaves an empty object in its place.
 if [ "${SKIP_CAPACITY:-0}" = "1" ]; then
 	printf '{}\n' >"$capacity"
 else
