@@ -1,4 +1,4 @@
-.PHONY: verify test test-short fault bench bench-check lint cluster-test replica-test tok-test trace-test load-test load-bench
+.PHONY: verify test test-short fault bench-check lint cluster-test replica-test tok-test trace-test load-test
 
 verify: ## gofmt + vet + build + full race-enabled test suite
 	./scripts/verify.sh
@@ -31,14 +31,8 @@ test-short:
 fault: ## fault-injection suite: kill-points, corruption, overload
 	go test -run Fault -count=2 ./...
 
-bench: ## imputation + model-lookup benchmarks + per-stage latencies -> BENCH_impute.json
-	./scripts/bench.sh
-
 bench-check: ## vet + test the benchmark module (its own go.mod), so drift in the internal/* packages it imports is caught at PR time
 	cd benchmark && go vet ./... && go test ./...
 
 load-test: ## CI's loadgen smoke: a short open-loop sweep against an in-process node, failing on any internal error
 	go test -race -run 'TestLoadgenSmoke' -v ./cmd/kamel/
-
-load-bench: ## record the capacity curves (1 node, 3-node cluster) without the rest of the bench suite
-	KAMEL_CAPACITY_OUT=$${KAMEL_CAPACITY_OUT:-CAPACITY.json} go test -run 'TestCapacityRecord' -v -timeout 30m ./cmd/kamel/

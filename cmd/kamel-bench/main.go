@@ -16,18 +16,7 @@
 //
 // Results print as aligned tables; -csv also writes a CSV file.
 //
-// A separate mode records the serving pipeline's per-stage latency
-// distribution (tokenize, lookup, page-in, predict, constraints, beam,
-// detokenize) from the observability layer's histograms:
-//
-//	kamel-bench -stage-latency out.json
-//
-// It trains a small partitioned system, pages its models from disk, imputes
-// a sparsified test set, and writes one JSON array of per-stage
-// count/p50/p95/p99 — the machine-readable baseline scripts/bench.sh embeds
-// into BENCH_impute.json.
-//
-// A third mode compares the fixed-grid and density-adaptive tokenizers
+// A second mode compares the fixed-grid and density-adaptive tokenizers
 // (vocabulary size, training-data factor, model count, accuracy, median
 // imputation latency) on both canonical datasets:
 //
@@ -50,17 +39,8 @@ func main() {
 	steps := flag.Int("steps", 700, "KAMEL training steps")
 	csvPath := flag.String("csv", "", "also write results to this CSV file")
 	quiet := flag.Bool("quiet", false, "suppress progress logging")
-	stageOut := flag.String("stage-latency", "", "record per-stage serving latencies to this JSON file and exit")
 	tokABOut := flag.String("tokenizer-ab", "", "run the fixed-vs-adaptive tokenizer A/B, write the structured report to this JSON file, and exit")
 	flag.Parse()
-
-	if *stageOut != "" {
-		if err := runStageLatency(*stageOut, *quiet); err != nil {
-			fmt.Fprintln(os.Stderr, "kamel-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	opts := eval.DefaultOptions()
 	opts.Scale = *scale

@@ -12,9 +12,7 @@ import (
 // tokenizerABDoc is the JSON document written by -tokenizer-ab: one
 // fixed-vs-adaptive comparison per dataset, each carrying both token spaces'
 // vocabulary size, training-data factor, model count, accuracy, and median
-// imputation latency.  scripts/bench.sh embeds it into BENCH_impute.json so
-// the token-space shape is tracked across commits alongside the latency
-// baselines.
+// imputation latency.
 type tokenizerABDoc struct {
 	Generated string                    `json:"generated"`
 	Reports   []*eval.TokenizerABReport `json:"reports"`

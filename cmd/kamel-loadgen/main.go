@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -78,6 +79,12 @@ func run(url, rates string, warmup, measure time.Duration, clients int, zipfS fl
 	mix, err := parseMix(mixSpec)
 	if err != nil {
 		return err
+	}
+	if !finite(zipfS) {
+		return fmt.Errorf("-zipf must be finite, got %v", zipfS)
+	}
+	if !finite(p99Target) {
+		return fmt.Errorf("-p99-target must be finite, got %v", p99Target)
 	}
 	profiles, err := datasetProfiles(profile, scale)
 	if err != nil {
@@ -130,6 +137,12 @@ func run(url, rates string, warmup, measure time.Duration, clients int, zipfS fl
 	return nil
 }
 
+// finite rejects NaN and ±Inf, which strconv.ParseFloat and flag.Float64
+// accept and which pass every "<= 0" range check below them: an infinite
+// rate is a zero inter-arrival time, i.e. an unbounded goroutine spawn
+// against the target.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
 // parseRates reads "25,50,100" into ascending-or-not offered rates; order is
 // preserved so an operator can sweep down as well as up.
 func parseRates(spec string) ([]float64, error) {
@@ -140,7 +153,7 @@ func parseRates(spec string) ([]float64, error) {
 			continue
 		}
 		r, err := strconv.ParseFloat(part, 64)
-		if err != nil || r <= 0 {
+		if err != nil || !finite(r) || r <= 0 {
 			return nil, fmt.Errorf("bad rate %q in -rates", part)
 		}
 		out = append(out, r)
@@ -165,8 +178,8 @@ func parseMix(spec string) (loadgen.Mix, error) {
 			return m, fmt.Errorf("bad mix term %q (want op=weight)", part)
 		}
 		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || f < 0 {
-			return m, fmt.Errorf("bad mix weight %q", val)
+		if err != nil || !finite(f) || f < 0 {
+			return m, fmt.Errorf("bad weight %q in -mix", val)
 		}
 		switch strings.TrimSpace(key) {
 		case "impute":

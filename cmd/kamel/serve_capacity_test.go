@@ -2,19 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
-	"kamel/internal/cluster"
-	"kamel/internal/cluster/clustertest"
 	"kamel/internal/core"
 	"kamel/internal/loadgen"
 	"kamel/internal/trajgen"
@@ -23,21 +14,18 @@ import (
 // This file is the in-process half of the load harness: the same open-loop
 // generator cmd/kamel-loadgen ships is pointed at httptest servers built from
 // the real API handler, so CI can smoke the sweep path without ports or
-// subprocesses, and scripts/bench.sh can record the capacity curves
-// (single node and the 3-node cluster) into BENCH_impute.json via
-// TestCapacityRecord.
+// subprocesses.
 
 // capacityConfig shrinks the model to the integration-test scale (the same
 // knobs the cluster fixture uses) so training through /v1/train stays
 // affordable; everything else — partitioning, constraints, the batcher — runs
 // as shipped, which is what makes the measured capacity meaningful.
-func capacityConfig(dir, shardID string) core.Config {
+func capacityConfig(dir string) core.Config {
 	cfg := systemConfig(dir, 200, "", false, false, false)
 	cfg.Hidden, cfg.FFN = 32, 128
 	cfg.Train.Batch = 12
 	cfg.TopK = 40
 	cfg.MaxCalls = 150
-	cfg.ShardID = shardID
 	return cfg
 }
 
@@ -56,7 +44,7 @@ func capacityServeOptions() serveOptions {
 // trains it over the wire, exactly like an operator driving a fresh server.
 func newCapacityServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	sys, err := core.New(capacityConfig(t.TempDir(), ""))
+	sys, err := core.New(capacityConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,50 +52,6 @@ func newCapacityServer(t *testing.T) *httptest.Server {
 	ts := httptest.NewServer(newAPIHandler(sys, capacityServeOptions()))
 	t.Cleanup(ts.Close)
 	return ts
-}
-
-// newCapacityCluster stands up n untrained shard nodes and returns the
-// gateway (node 0) URL.  Seeding POSTs the training split at the gateway and
-// relies on the train fan-out to reach the owning shards.
-func newCapacityCluster(t *testing.T, n int) string {
-	t.Helper()
-	base := t.TempDir()
-	mapPath := filepath.Join(base, "shards.json")
-	syss := make([]*core.System, n)
-	for i := range syss {
-		sys, err := core.New(capacityConfig(
-			filepath.Join(base, fmt.Sprintf("node-%d", i)), fmt.Sprintf("shard-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { sys.Close() })
-		syss[i] = sys
-	}
-	tmpl := cluster.Map{OriginLat: 41.15, OriginLng: -8.61, CellEdgeM: 250}
-	c, err := clustertest.New(n, tmpl,
-		func(i int, self string) cluster.Options {
-			return cluster.Options{
-				Logger:       quietLogger(),
-				Registry:     syss[i].Obs(),
-				RetryBackoff: time.Millisecond,
-				// The seed phase fans the training split out to the peers,
-				// and each peer trains its sub-batch inside the forwarded
-				// request — well past the 10s interactive default.
-				ForwardTimeout: 10 * time.Minute,
-			}
-		},
-		func(i int, self string, rt *cluster.Router) (http.Handler, error) {
-			opts := capacityServeOptions()
-			opts.router = rt
-			opts.clusterPath = mapPath
-			return newAPIHandler(syss[i], opts), nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	writeShardMap(t, mapPath, c.Map)
-	return c.Nodes[0].URL()
 }
 
 // capacityWorkload builds the porto-like request pools at the given dataset
@@ -169,86 +113,4 @@ func TestLoadgenSmoke(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("sweep produced zero goodput against a seeded node")
 	}
-}
-
-// capacityRecord is the machine-readable block scripts/bench.sh splices into
-// BENCH_impute.json: the single-node and 3-node capacity curves.  (The key
-// names keep the "_adaptive" suffix of the PR 10 record they continue.)
-type capacityRecord struct {
-	P99TargetMS    float64             `json:"p99_target_ms"`
-	Rates          []float64           `json:"rates"`
-	SingleAdaptive loadgen.SweepResult `json:"single_adaptive"`
-	Cluster3       loadgen.SweepResult `json:"cluster3_adaptive"`
-}
-
-// TestCapacityRecord runs the full capacity benchmark and writes the record
-// to $KAMEL_CAPACITY_OUT; without the variable it is skipped, so the ~minutes
-// of sweeping only run from scripts/bench.sh (or an operator) on purpose.
-// KAMEL_CAPACITY_RATES, KAMEL_CAPACITY_MEASURE, and KAMEL_CAPACITY_TARGET
-// (p99 SLO in ms — bench.sh defaults it to a container-scale bound, since
-// the interactive 250ms default assumes real serving hardware) resize the
-// sweep.
-func TestCapacityRecord(t *testing.T) {
-	out := os.Getenv("KAMEL_CAPACITY_OUT")
-	if out == "" {
-		t.Skip("set KAMEL_CAPACITY_OUT to record the capacity curves")
-	}
-	rates := []float64{100, 300, 900, 2700}
-	if spec := os.Getenv("KAMEL_CAPACITY_RATES"); spec != "" {
-		rates = nil
-		for _, part := range strings.Split(spec, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil || r <= 0 {
-				t.Fatalf("bad KAMEL_CAPACITY_RATES entry %q", part)
-			}
-			rates = append(rates, r)
-		}
-	}
-	measure := 3 * time.Second
-	if spec := os.Getenv("KAMEL_CAPACITY_MEASURE"); spec != "" {
-		d, err := time.ParseDuration(spec)
-		if err != nil || d <= 0 {
-			t.Fatalf("bad KAMEL_CAPACITY_MEASURE %q", spec)
-		}
-		measure = d
-	}
-	warmup := measure / 3
-	p99Target := 250.0
-	if spec := os.Getenv("KAMEL_CAPACITY_TARGET"); spec != "" {
-		f, err := strconv.ParseFloat(spec, 64)
-		if err != nil || f <= 0 {
-			t.Fatalf("bad KAMEL_CAPACITY_TARGET %q", spec)
-		}
-		p99Target = f
-	}
-	// The scale floor is set by the 3-node target: the train fan-out splits
-	// the seed batch across shards, and core declines cells whose sub-corpus
-	// is too thin (<10 trajectories / <600 tokens), so each shard's share
-	// must clear it or the cluster never reports ready.
-	scale := 0.4
-	if spec := os.Getenv("KAMEL_CAPACITY_SCALE"); spec != "" {
-		f, err := strconv.ParseFloat(spec, 64)
-		if err != nil || f <= 0 {
-			t.Fatalf("bad KAMEL_CAPACITY_SCALE %q", spec)
-		}
-		scale = f
-	}
-	w := capacityWorkload(t, scale)
-
-	rec := capacityRecord{P99TargetMS: p99Target, Rates: rates}
-	t.Log("capacity: sweeping single node")
-	rec.SingleAdaptive = capacitySweep(t, newCapacityServer(t).URL, w, rates, warmup, measure, p99Target)
-	t.Log("capacity: sweeping 3-node cluster")
-	rec.Cluster3 = capacitySweep(t, newCapacityCluster(t, 3), w, rates, warmup, measure, p99Target)
-
-	raw, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("capacity: single   %s", loadgen.Summary(rec.SingleAdaptive))
-	t.Logf("capacity: cluster3 %s", loadgen.Summary(rec.Cluster3))
-	t.Logf("capacity: wrote %s", out)
 }

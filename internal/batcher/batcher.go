@@ -510,7 +510,7 @@ func (b *Batcher) Close() {
 }
 
 // Stats is a point-in-time summary of coalescing behaviour, surfaced in
-// /v1/stats and recorded next to the benchmarks in BENCH_impute.json.
+// /v1/stats.
 type Stats struct {
 	Batches        int64   `json:"batches"`
 	Items          int64   `json:"items"`

@@ -3,14 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"kamel/internal/batcher"
-	"kamel/internal/bert"
 	"kamel/internal/geo"
 	"kamel/internal/grid"
 	"kamel/internal/impute"
@@ -269,8 +266,7 @@ func TestCloseDrainsBatcher(t *testing.T) {
 
 // maskedReference answers every gap query with a bert.PredictMasked call of
 // its own, past the batcher: the single-sequence oracle the serving predictor
-// must match, and the fully sequential baseline of the concurrency
-// benchmarks.
+// must match.
 func maskedReference(b *modelBundle) impute.Predictor {
 	p := bundlePredictor{b: b}
 	return impute.PredictFunc(func(segment []grid.Cell, gapPos, topK int) ([]impute.Candidate, error) {
@@ -284,98 +280,4 @@ func maskedReference(b *modelBundle) impute.Predictor {
 		}
 		return p.filterCands(raw, topK), nil
 	})
-}
-
-// frontierReference stacks one request's frontier into one engine pass
-// without going through the batcher, so requests never share passes.
-type frontierReference struct{ p bundlePredictor }
-
-func (f frontierReference) Predict(_ context.Context, queries []impute.Query) ([][]impute.Candidate, error) {
-	mqs := make([]bert.MaskQuery, len(queries))
-	for i, q := range queries {
-		mq, err := f.p.maskQuery(q.Segment, q.GapPos, q.TopK)
-		if err != nil {
-			return nil, err
-		}
-		mqs[i] = mq
-	}
-	raws, err := f.p.b.model.PredictMaskedBatch(mqs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]impute.Candidate, len(queries))
-	for i, raw := range raws {
-		out[i] = f.p.filterCands(raw, queries[i].TopK)
-	}
-	return out, nil
-}
-
-// The concurrency benchmark trio measures per-gap latency under >=8
-// concurrent imputation streams in three regimes:
-//
-//   - Sequential: one engine call per query (no frontier stacking, no
-//     admission batching) — the baseline the >=2x acceptance criterion is
-//     measured against.
-//   - Frontier: each request stacks its own beam frontier per engine call,
-//     but requests never share passes.
-//   - Admission: frontiers from all streams coalesce through the admission
-//     batcher into shared passes; the run also reports the realized
-//     coalescing stats (avg_batch, queue_wait_p99_ms) for BENCH_impute.json.
-func BenchmarkImputeConcurrentSequential(b *testing.B) {
-	benchImputeConcurrent(b, "sequential")
-}
-
-func BenchmarkImputeConcurrentFrontier(b *testing.B) {
-	benchImputeConcurrent(b, "frontier")
-}
-
-func BenchmarkImputeConcurrentAdmission(b *testing.B) {
-	benchImputeConcurrent(b, "admission")
-}
-
-func benchImputeConcurrent(b *testing.B, mode string) {
-	sys, tests := benchFixture(b)
-	reqs := gapRequests(sys, tests[:4], 800)
-	if len(reqs) == 0 {
-		b.Fatal("no gap requests")
-	}
-	cfg := impute.Config{
-		Tokenizer: sys.tok, Checker: sys.checker,
-		MaxGapMeters: sys.cfg.MaxGapM, MaxCalls: 200, TopK: 40, Beam: 4, Alpha: 1,
-	}
-	// RunParallel spawns GOMAXPROCS x parallelism goroutines; pick the
-	// parallelism that yields at least 8 concurrent streams on any machine.
-	streams := 8
-	par := (streams + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0)
-	b.SetParallelism(par)
-
-	var next atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var p impute.Predictor
-		switch mode {
-		case "sequential":
-			p = maskedReference(sys.global)
-		case "frontier":
-			p = frontierReference{p: bundlePredictor{b: sys.global}}
-		case "admission":
-			sys.adm.StreamEnter()
-			defer sys.adm.StreamExit()
-			p = bundlePredictor{b: sys.global, adm: sys.adm}
-		default:
-			panic("unknown mode " + mode)
-		}
-		for pb.Next() {
-			req := reqs[int(next.Add(1))%len(reqs)]
-			if _, err := impute.Beam(context.Background(), p, cfg, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.StopTimer()
-	if mode == "admission" {
-		st := sys.adm.Stats()
-		b.ReportMetric(st.AvgBatch, "avg_batch")
-		b.ReportMetric(st.QueueWaitP99MS, "queue_wait_p99_ms")
-	}
 }

@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"testing"
-	"time"
 
 	"kamel/internal/geo"
 	"kamel/internal/grid"
 	"kamel/internal/impute"
 	"kamel/internal/ngram"
-	"kamel/internal/obs"
 	"kamel/internal/roadnet"
 	"kamel/internal/store"
 	"kamel/internal/trajgen"
@@ -62,8 +60,8 @@ func gapRequests(sys *System, tests []geo.Trajectory, sparse float64) []impute.R
 	return out
 }
 
-// sparseTests returns the sparsified end-to-end imputation inputs shared by
-// the BenchmarkImpute pair.
+// sparseTests returns the sparsified end-to-end imputation inputs of
+// BenchmarkImpute.
 func sparseTests(tests []geo.Trajectory, sparse float64) []geo.Trajectory {
 	out := make([]geo.Trajectory, len(tests))
 	for i, tr := range tests {
@@ -72,10 +70,8 @@ func sparseTests(tests []geo.Trajectory, sparse float64) []geo.Trajectory {
 	return out
 }
 
-// BenchmarkImpute measures the full serving path — ImputeContext with the
-// observability layer live, every stage feeding its histogram.  Compared
-// against BenchmarkImputeNoObs it is the registry's hot-path overhead; the
-// acceptance bound is a delta within 5%.
+// BenchmarkImpute measures the full serving path — ImputeContext with every
+// stage feeding its histogram.
 func BenchmarkImpute(b *testing.B) {
 	sys, tests := benchFixture(b)
 	in := sparseTests(tests[:4], 800)
@@ -85,56 +81,6 @@ func BenchmarkImpute(b *testing.B) {
 			if _, _, err := sys.Impute(tr); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// BenchmarkImputeNoObs is BenchmarkImpute with Config.DisableObservability
-// set: no spans, no timestamps, no histogram updates.
-func BenchmarkImputeNoObs(b *testing.B) {
-	sys, tests := benchFixture(b)
-	sys.cfg.DisableObservability = true
-	in := sparseTests(tests[:4], 800)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tr := range in {
-			if _, _, err := sys.Impute(tr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkImputeTraced is BenchmarkImpute under the always-on tracing plane:
-// every request runs with a sampled root trace bound to the context alongside
-// the registry sink (spans carry exemplars) and completes into a trace store,
-// as the serving layer does.  Compared against BenchmarkImpute it is the cost
-// of distributed tracing on top of plain observability; the combined delta
-// against BenchmarkImputeNoObs must stay within the same 5% acceptance bound.
-func BenchmarkImputeTraced(b *testing.B) {
-	sys, tests := benchFixture(b)
-	in := sparseTests(tests[:4], 800)
-	traces := obs.NewTraceStore(512, 256, sys.Obs())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tr := range in {
-			root := obs.NewRootTrace(true)
-			ctx := obs.With(context.Background(), root, sys.Obs())
-			start := time.Now()
-			if _, _, err := sys.ImputeContext(ctx, tr); err != nil {
-				b.Fatal(err)
-			}
-			traces.Add(obs.TraceRecord{
-				TraceID:  root.TraceID,
-				SpanID:   root.SpanID,
-				Node:     "bench",
-				Route:    "/v1/impute",
-				Status:   200,
-				Start:    root.Start(),
-				Duration: time.Since(start),
-				Spans:    root.Records(),
-				Retained: obs.RetainHead,
-			})
 		}
 	}
 }

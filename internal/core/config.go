@@ -115,13 +115,6 @@ type Config struct {
 	DisableConstraints  bool // "No Const.": accept any BERT prediction
 	DisableMultipoint   bool // "No Multi.": one BERT call per gap
 
-	// DisableObservability skips the per-request span/stage instrumentation
-	// of the imputation and training paths (the metrics registry still
-	// exists, it just receives nothing from them).  Exists so the registry's
-	// hot-path overhead can be benchmarked (BenchmarkImpute vs
-	// BenchmarkImputeNoObs); production deployments leave it off.
-	DisableObservability bool
-
 	Seed uint64
 }
 

@@ -66,15 +66,10 @@ func (s *System) Impute(tr geo.Trajectory) (geo.Trajectory, baseline.Stats, erro
 func (s *System) ImputeContext(ctx context.Context, tr geo.Trajectory) (geo.Trajectory, baseline.Stats, error) {
 	// Bind the system registry as the span sink (keeping any request trace
 	// the serving layer attached), so per-stage histograms are fed whether
-	// the call arrives over HTTP or as a library call.  Observer is nil when
-	// observability is disabled; every timing site below then takes no
-	// timestamps at all.
-	var observe func(string, time.Duration)
-	if !s.cfg.DisableObservability {
-		ctx = obs.EnsureSink(ctx, s.obsReg)
-		observe = obs.Observer(ctx)
-		s.imputeReqs.Inc()
-	}
+	// the call arrives over HTTP or as a library call.
+	ctx = obs.EnsureSink(ctx, s.obsReg)
+	observe := obs.Observer(ctx)
+	s.imputeReqs.Inc()
 	ss := s.serve.Load()
 	var stats baseline.Stats
 	if ss == nil || ss.tok == nil || (ss.index == nil && ss.global == nil) {
@@ -94,17 +89,12 @@ func (s *System) ImputeContext(ctx context.Context, tr geo.Trajectory) (geo.Traj
 	out := geo.Trajectory{ID: tr.ID}
 	cells := make([]grid.Cell, len(tr.Points))
 	xys := make([]geo.XY, len(tr.Points))
-	var t0 time.Time
-	if observe != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	for i, p := range tr.Points {
 		xys[i] = ss.proj.ToXY(p)
 		cells[i] = ss.tok.Tokenize(xys[i])
 	}
-	if observe != nil {
-		observe("impute.tokenize", time.Since(t0))
-	}
+	observe("impute.tokenize", time.Since(t0))
 
 	for i := 0; i+1 < len(tr.Points); i++ {
 		a, b := tr.Points[i], tr.Points[i+1]
@@ -131,13 +121,9 @@ func (s *System) ImputeContext(ctx context.Context, tr geo.Trajectory) (geo.Traj
 		}
 		// Detokenize the interior tokens (endpoints stay at the observed
 		// GPS points, which are more precise than any cell centroid).
-		if observe != nil {
-			t0 = time.Now()
-		}
+		t0 = time.Now()
 		pts := ss.detok.Detokenize(res.Tokens)
-		if observe != nil {
-			observe("impute.detok", time.Since(t0))
-		}
+		observe("impute.detok", time.Since(t0))
 		if len(pts) > 2 {
 			s.emit(ss, &out, pts[1:len(pts)-1], a.T, b.T, xys[i], xys[i+1])
 		}
@@ -241,25 +227,16 @@ func (s *System) imputeGap(ctx context.Context, ss *serveState, cells []grid.Cel
 	release := func() {}
 	if bundle == nil {
 		mbr := geo.EmptyRect().ExtendXY(xys[i]).ExtendXY(xys[i+1])
-		var t0 time.Time
-		if observe != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		ref, _, info, found := ss.index.LookupBest(mbr)
-		if observe != nil {
-			observe("impute.lookup", time.Since(t0))
-		}
+		observe("impute.lookup", time.Since(t0))
 		if !found {
 			return impute.Result{}, info.Degraded, false, nil
 		}
 		degraded = info.Degraded
-		if observe != nil {
-			t0 = time.Now()
-		}
+		t0 = time.Now()
 		b, rel, rerr := s.resolveModel(ctx, ref)
-		if observe != nil {
-			observe("impute.page_in", time.Since(t0))
-		}
+		observe("impute.page_in", time.Since(t0))
 		if rerr != nil {
 			if ctx.Err() != nil {
 				return impute.Result{}, degraded, true, rerr
@@ -300,10 +277,7 @@ func (s *System) imputeGap(ctx context.Context, ss *serveState, cells []grid.Cel
 	// so the beam bucket overlaps them by design.  The single call of the
 	// "No Multi." ablation is all predict.
 	stage := "impute.beam"
-	var t0 time.Time
-	if observe != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	switch {
 	case s.cfg.DisableMultipoint:
 		stage = impute.StagePredict
@@ -313,9 +287,7 @@ func (s *System) imputeGap(ctx context.Context, ss *serveState, cells []grid.Cel
 	default:
 		res, err = impute.Beam(ctx, p, cfg, req)
 	}
-	if observe != nil {
-		observe(stage, time.Since(t0))
-	}
+	observe(stage, time.Since(t0))
 	if err != nil {
 		if systemImputeErr(ctx, err) {
 			return impute.Result{}, degraded, true, err

@@ -44,9 +44,7 @@ func (s *System) TrainContext(ctx context.Context, trajs []geo.Trajectory) error
 	if len(trajs) == 0 {
 		return fmt.Errorf("core: empty training batch")
 	}
-	if !s.cfg.DisableObservability {
-		ctx = obs.EnsureSink(ctx, s.obsReg)
-	}
+	ctx = obs.EnsureSink(ctx, s.obsReg)
 	sp := obs.StartSpan(ctx, "train.append")
 	batch, err := s.appendBatch(trajs)
 	sp.End()
@@ -119,9 +117,7 @@ func (s *System) rebuild(ctx context.Context, batch []store.Traj, commit bool) e
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if !s.cfg.DisableObservability {
-		ctx = obs.EnsureSink(ctx, s.obsReg)
-	}
+	ctx = obs.EnsureSink(ctx, s.obsReg)
 	defer obs.StartSpan(ctx, "train.rebuild").End()
 	started := time.Now()
 

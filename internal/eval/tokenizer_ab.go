@@ -31,8 +31,7 @@ type TokenizerABCell struct {
 }
 
 // TokenizerABReport is the structured fixed-vs-adaptive comparison for one
-// dataset, consumed by the bench pipeline (BENCH_impute.json) alongside the
-// tabular Rows.
+// dataset, written by kamel-bench -tokenizer-ab alongside the tabular Rows.
 type TokenizerABReport struct {
 	Dataset     string          `json:"dataset"`
 	SparsenessM float64         `json:"sparseness_m"`

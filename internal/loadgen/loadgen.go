@@ -233,7 +233,10 @@ func (g *Generator) pick(rng *rand.Rand, zipf *rand.Zipf) shot {
 }
 
 // issue sends one request and records its outcome (rec nil during warmup).
-func (g *Generator) issue(ctx context.Context, sh shot, rec *recorder) {
+// Latency runs from due, the arrival's scheduled time, not from the send: when
+// the generator falls behind and fires a backlog back-to-back, the scheduling
+// lag is part of what a client arriving on schedule would have waited.
+func (g *Generator) issue(ctx context.Context, sh shot, due time.Time, rec *recorder) {
 	ctx, cancel := context.WithTimeout(ctx, g.opts.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.opts.BaseURL+sh.path, bytes.NewReader(sh.body))
@@ -246,9 +249,8 @@ func (g *Generator) issue(ctx context.Context, sh shot, rec *recorder) {
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(obs.HeaderClient, sh.client)
 	req.Header.Set(obs.HeaderPriority, sh.pri)
-	start := time.Now()
 	resp, err := g.opts.Client.Do(req)
-	latency := time.Since(start)
+	latency := time.Since(due)
 	if err != nil {
 		if rec != nil {
 			rec.record(sh.op, 0, latency, "", true)
@@ -296,11 +298,11 @@ func (g *Generator) runPhase(ctx context.Context, rate float64, d time.Duration,
 		if ctx.Err() != nil {
 			return
 		}
-		sh := g.pick(rng, zipf)
+		sh, due := g.pick(rng, zipf), next
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g.issue(ctx, sh, rec)
+			g.issue(ctx, sh, due, rec)
 		}()
 		// Exponential inter-arrival: the Poisson process.  Scheduling from
 		// the previous *scheduled* time (not from now) preserves the offered
@@ -343,14 +345,22 @@ func (g *Generator) Sweep(ctx context.Context, rates []float64, warmup, measure 
 		st := g.RunStep(ctx, rate, warmup, measure)
 		out.Steps = append(out.Steps, st)
 	}
-	for _, st := range out.Steps {
+	out.CapacityRPS, out.CapacityOfferedRPS = capacityPoint(out.Steps, p99TargetMS)
+	return out
+}
+
+// capacityPoint picks the sweep's headline: the goodput and offered rate of
+// the step with the highest goodput among those with no internal errors and
+// p99 within the target (a non-positive target admits every p99).  Both are 0
+// when no step qualifies or none succeeded at anything.
+func capacityPoint(steps []StepResult, p99TargetMS float64) (goodput, offered float64) {
+	for _, st := range steps {
 		inSLO := st.Internal == 0 && (p99TargetMS <= 0 || st.P99MS <= p99TargetMS)
-		if inSLO && st.GoodputRPS > out.CapacityRPS {
-			out.CapacityRPS = st.GoodputRPS
-			out.CapacityOfferedRPS = st.OfferedRPS
+		if inSLO && st.GoodputRPS > goodput {
+			goodput, offered = st.GoodputRPS, st.OfferedRPS
 		}
 	}
-	return out
+	return goodput, offered
 }
 
 // SeedTarget trains the target with the workload's full training splits and

@@ -115,26 +115,44 @@ func TestOpenLoopArrivals(t *testing.T) {
 	}
 }
 
-// TestSweepCapacityPoint checks capacity selection: the best goodput among
-// steps with p99 under target and no internal errors.
+// TestIssueTimesFromDueTime pins the coordinated-omission fix: a request the
+// generator fires late must carry its scheduling lag in the recorded latency,
+// however fast the server answers.
+func TestIssueTimesFromDueTime(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer ts.Close()
+
+	g := New(&Workload{}, Options{BaseURL: ts.URL})
+	rec := &recorder{}
+	sh := shot{op: OpImpute, path: "/v1/impute", body: []byte("{}"), client: "client-0", pri: "interactive"}
+	g.issue(context.Background(), sh, time.Now().Add(-50*time.Millisecond), rec)
+	st := rec.result(1, time.Second)
+	if st.OK != 1 {
+		t.Fatalf("stub accepts everything, got %+v", st)
+	}
+	if st.P50MS < 50 {
+		t.Fatalf("latency = %.1fms for a request due 50ms before it was sent; scheduling lag was dropped", st.P50MS)
+	}
+}
+
+// TestSweepCapacityPoint checks the selection Sweep applies: the best goodput
+// among steps with p99 under target and no internal errors.
 func TestSweepCapacityPoint(t *testing.T) {
-	res := SweepResult{P99TargetMS: 100}
-	res.Steps = []StepResult{
+	allShed := StepResult{OfferedRPS: 800, Sent: 400, Shed: 400, ShedRate: 1} // nothing succeeded: p99 0, goodput 0
+	steps := []StepResult{
 		{OfferedRPS: 50, GoodputRPS: 49, P99MS: 20},
 		{OfferedRPS: 100, GoodputRPS: 97, P99MS: 80},
 		{OfferedRPS: 200, GoodputRPS: 150, P99MS: 300},             // out of SLO
 		{OfferedRPS: 400, GoodputRPS: 180, P99MS: 50, Internal: 3}, // internal errors
+		allShed,
 	}
-	out := SweepResult{P99TargetMS: res.P99TargetMS, Steps: res.Steps}
-	for _, st := range out.Steps {
-		inSLO := st.Internal == 0 && st.P99MS <= out.P99TargetMS
-		if inSLO && st.GoodputRPS > out.CapacityRPS {
-			out.CapacityRPS = st.GoodputRPS
-			out.CapacityOfferedRPS = st.OfferedRPS
-		}
+	if goodput, offered := capacityPoint(steps, 100); goodput != 97 || offered != 100 {
+		t.Fatalf("capacity = %.1f at %.1f, want 97 at 100", goodput, offered)
 	}
-	if out.CapacityRPS != 97 || out.CapacityOfferedRPS != 100 {
-		t.Fatalf("capacity = %.1f at %.1f, want 97 at 100", out.CapacityRPS, out.CapacityOfferedRPS)
+	if goodput, offered := capacityPoint([]StepResult{allShed}, 100); goodput != 0 || offered != 0 {
+		t.Fatalf("an all-shed step was chosen as the capacity point: %.1f at %.1f", goodput, offered)
 	}
 }
 

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
 // WriteTable renders the sweep as the human-readable capacity table:
@@ -52,16 +51,4 @@ func worstStepSlowest(res SweepResult) []SlowRequest {
 		}
 	}
 	return worst
-}
-
-// Summary is the one-line form for logs.
-func Summary(res SweepResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d steps", len(res.Steps))
-	if res.CapacityRPS > 0 {
-		fmt.Fprintf(&b, ", capacity %.1f req/s at %.1f offered", res.CapacityRPS, res.CapacityOfferedRPS)
-	} else {
-		b.WriteString(", no step in SLO")
-	}
-	return b.String()
 }

@@ -155,61 +155,3 @@ func TestMatMulParallelParity(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkMatMulTNSerial and BenchmarkMatMulTNParallel are the CI kernel
-// smoke pair: their ratio is the parallel speedup on the runner (≈1 on a
-// single-core machine, where the pooled path is bypassed entirely).  The
-// shape is a stacked admission batch: 32 sequences × 20 tokens, hidden 64,
-// FFN 256.
-func BenchmarkMatMulTNSerial(b *testing.B) {
-	benchMatMulTN(b, 1)
-}
-
-func BenchmarkMatMulTNParallel(b *testing.B) {
-	benchMatMulTN(b, maxWorkers)
-}
-
-func benchMatMulTN(b *testing.B, workers int) {
-	a := randMat(32*20, 64, 1)
-	bt := randMat(256, 64, 2)
-	bias := randMat(1, 256, 3).A
-	dst := NewMat(32*20, 256)
-	withWorkers(b, workers, func() {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			MatMulTN(dst, a, bt, bias)
-		}
-	})
-}
-
-// TestParallelMatMulSpeedupSmoke logs the measured parallel-over-serial
-// speedup for the CI kernels job.  It never fails on speed — machines differ
-// — only parity tests gate correctness.
-func TestParallelMatMulSpeedupSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing smoke")
-	}
-	a := randMat(32*20, 64, 1)
-	bt := randMat(256, 64, 2)
-	dst := NewMat(32*20, 256)
-	const reps = 50
-	run := func(workers int) time.Duration {
-		var best time.Duration
-		withWorkers(t, workers, func() {
-			for trial := 0; trial < 3; trial++ {
-				t0 := time.Now()
-				for i := 0; i < reps; i++ {
-					MatMulTN(dst, a, bt, nil)
-				}
-				if d := time.Since(t0); best == 0 || d < best {
-					best = d
-				}
-			}
-		})
-		return best
-	}
-	serial := run(1)
-	parallel := run(maxWorkers)
-	t.Logf("MatMulTN %d reps: serial=%v parallel(workers=%d)=%v speedup=%.2fx",
-		reps, serial, maxWorkers, parallel, float64(serial)/float64(parallel))
-}
