@@ -1,4 +1,4 @@
-.PHONY: verify test test-short fault bench-check lint cluster-test replica-test tok-test trace-test load-test
+.PHONY: verify test test-short fault bench-check lint cluster-test tok-test trace-test load-test
 
 verify: ## gofmt + vet + build + full race-enabled test suite
 	./scripts/verify.sh
@@ -6,14 +6,13 @@ verify: ## gofmt + vet + build + full race-enabled test suite
 lint: ## the same staticcheck invocation CI runs (go install honnef.co/go/tools/cmd/staticcheck@2024.1.1 first)
 	staticcheck ./...
 
-cluster-test: ## the sharding integration suite, race-enabled (local shortcut: a subset of `make verify`)
-	go test -race -run Cluster ./...
+cluster-test: ## sharding + replication, race-enabled (local shortcut: a subset of `make verify`): all of internal/cluster, the cmd/kamel cluster/replica/fan-out/stitching suites, parallel rebuild
+	go test -race ./internal/cluster/...
+	go test -race -run 'Cluster' ./cmd/kamel/
+	go test -race -run 'IngestParallel' ./internal/pyramid/
 
-replica-test: ## replication: rendezvous groups, failover, anti-entropy, parallel rebuild (race-enabled; local shortcut: a subset of `make verify`)
-	go test -race -run 'Replica|AntiEntropy|TrainFanout|Rendezvous|BatchAccounting|ForwardAny|ForwardWrite|ForwardBusy|IngestParallel' ./cmd/kamel/ ./internal/cluster/... ./internal/pyramid/
-
-trace-test: ## distributed tracing + SLO suite, race-enabled (local shortcut: a subset of `make verify`): traceparent propagation, trace store, exemplars, federation, SLO burn triggers, and the 3-node stitching acceptance test
-	go test -race -run 'Trace|Traceparent|Exemplar|Federated|SLO' ./internal/obs/ ./internal/cluster/ ./cmd/kamel/
+trace-test: ## distributed tracing + SLO suite, race-enabled (local shortcut: a subset of `make verify`): traceparent propagation, trace store, exemplars, SLO burn triggers, and the 3-node stitching acceptance test
+	go test -race -run 'Trace|Traceparent|Exemplar|SLO' ./internal/obs/ ./internal/cluster/ ./cmd/kamel/
 
 tok-test: ## tokenizer suite: pack/unpack properties, adaptive level bits, spec persistence + fault injection, anti-entropy hash gate (race-enabled), then the training-heavy golden-parity and adaptive lifecycle tests (no race: they train BERT models; core's concurrency is raced in `make verify`)
 	go test -race ./internal/tokenizer/ ./internal/vocab/

@@ -129,11 +129,8 @@ type serveOptions struct {
 	router *cluster.Router
 	// clusterPath is the shard-map file /v1/cluster/reload re-reads.
 	clusterPath string
-	// replicaOverride, when positive, overrides the shard map's replica
-	// count on load and on every reload (flag -replicas).
-	replicaOverride int
-	// syncer, when non-nil, is this node's anti-entropy reconciler; the
-	// /v1/cluster endpoints report it and trigger sweeps through it.
+	// syncer, when non-nil, is this node's anti-entropy reconciler:
+	// /v1/stats reports it and /v1/cluster/antientropy sweeps through it.
 	syncer *cluster.Syncer
 	// traceSample is the head-sampling probability in [0,1]: the fraction of
 	// root traces retained without a tail trigger.  1 keeps everything.
@@ -195,7 +192,7 @@ func newAPIHandler(sys *core.System, opts serveOptions) http.Handler {
 		// queue wait.
 		sys.Batcher().SetQueueWaitObserver(s.admission.ObserveQueueDelay)
 	}
-	// Build identity for federated scrapes: which binary, token space, and
+	// Build and deployment identity: which binary, token space, and
 	// replication factor this node runs.  Value is constant 1; the labels are
 	// the payload.
 	replicas := 0
@@ -213,12 +210,10 @@ func newAPIHandler(sys *core.System, opts serveOptions) http.Handler {
 	mux.Handle("/v1/impute", s.endpoint(http.MethodPost, s.handleImpute))
 	mux.Handle("/v1/impute/batch", s.endpoint(http.MethodPost, s.handleImputeBatch))
 	mux.Handle("/v1/stats", s.endpoint(http.MethodGet, s.handleStats))
-	mux.Handle("/v1/cluster", s.endpoint(http.MethodGet, s.handleClusterInfo))
 	mux.Handle("/v1/cluster/manifest", s.endpoint(http.MethodGet, s.handleClusterManifest))
 	mux.Handle("/v1/cluster/model", s.endpoint(http.MethodGet, s.handleClusterModel))
 	mux.Handle("/v1/cluster/antientropy", s.endpoint(http.MethodPost, s.handleClusterAntiEntropy))
 	mux.Handle("/v1/cluster/reload", s.endpoint(http.MethodPost, s.handleClusterReload))
-	mux.Handle("/v1/cluster/metrics", s.endpoint(http.MethodGet, s.handleClusterMetrics))
 	mux.Handle("/v1/traces", s.endpoint(http.MethodGet, s.handleTraces))
 	mux.Handle("/v1/traces/", s.endpoint(http.MethodGet, s.handleTraceDetail))
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -599,6 +594,9 @@ type wireStats struct {
 	// state and forwarding/degradation counters (includes the requests
 	// answered 503 because every owning peer was unreachable).
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
+	// AntiEntropy is the replica syncer's cumulative accounting; present
+	// only on sharded deployments.
+	AntiEntropy *cluster.SyncStats `json:"anti_entropy,omitempty"`
 }
 
 // statsDoc reads the serving counters straight from the metrics registry, so
@@ -617,6 +615,10 @@ func (s *apiServer) statsDoc() wireStats {
 	if rt := s.opts.router; rt != nil {
 		cs := rt.ClusterStats()
 		doc.Cluster = &cs
+	}
+	if s.opts.syncer != nil {
+		ss := s.opts.syncer.Stats()
+		doc.AntiEntropy = &ss
 	}
 	return doc
 }
@@ -675,10 +677,6 @@ func runServe(args []string) error {
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	clusterConfig := fs.String("cluster-config", "", "shard map JSON file enabling horizontal sharding (empty: single node)")
 	clusterSelf := fs.String("cluster-self", "", "this process's shard id in the shard map (required with -cluster-config)")
-	clusterHedge := fs.Duration("cluster-hedge", 0, "launch a hedged forward to the owning peer after this delay (0 disables)")
-	clusterRetries := fs.Int("cluster-retries", 1, "retries after a failed forward to a peer (negative disables)")
-	clusterProbe := fs.Duration("cluster-probe", 5*time.Second, "peer /readyz health-probe interval (0 uses the default)")
-	replicas := fs.Int("replicas", 0, "replica-group size override: each shard cell is served by this many shards (0 keeps the map's value; requires -cluster-config)")
 	antiEntropy := fs.Duration("anti-entropy-interval", 30*time.Second, "background anti-entropy sweep period reconciling model versions across replicas (0 disables the loop; requires -cluster-config)")
 	rebuildWorkers := fs.Int("rebuild-workers", 0, "concurrent per-cell model trainings per maintenance round (0 sizes from CPUs, 1 is serial)")
 	traceSample := fs.Float64("trace-sample", def.traceSample, "head-sampling probability for request traces in [0,1]; errored or slow requests are retained regardless")
@@ -750,16 +748,10 @@ func runServe(args []string) error {
 		if err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
-		if *replicas > 0 {
-			m.Replicas = *replicas
-		}
 		router, err = cluster.New(m, cluster.Options{
-			Self:          *clusterSelf,
-			Retries:       *clusterRetries,
-			HedgeAfter:    *clusterHedge,
-			ProbeInterval: *clusterProbe,
-			Logger:        logger,
-			Registry:      sys.Obs(),
+			Self:     *clusterSelf,
+			Logger:   logger,
+			Registry: sys.Obs(),
 		})
 		if err != nil {
 			return fmt.Errorf("serve: %w", err)
@@ -771,19 +763,9 @@ func runServe(args []string) error {
 			for {
 				select {
 				case <-hup:
-					m, err := cluster.LoadMap(*clusterConfig)
-					if err == nil {
-						if *replicas > 0 {
-							m.Replicas = *replicas
-						}
-						err = router.Reload(m)
-					}
-					if err != nil {
+					if _, _, err := reloadShardMap(router, *clusterConfig); err != nil {
 						logger.Error("shard map reload failed", "component", "serve", "err", err)
-						continue
 					}
-					logger.Info("shard map reloaded on SIGHUP", "component", "serve",
-						"generation", m.Generation, "shards", len(m.Shards))
 				case <-ctx.Done():
 					return
 				}
@@ -819,19 +801,18 @@ func runServe(args []string) error {
 	go slo.Run(ctx)
 
 	opts := serveOptions{
-		requestTimeout:  *reqTimeout,
-		maxBodyBytes:    *maxBody,
-		maxInflight:     *maxInflight,
-		slowRequest:     *slowReq,
-		logger:          logger,
-		router:          router,
-		clusterPath:     *clusterConfig,
-		replicaOverride: *replicas,
-		syncer:          syncer,
-		traceSample:     *traceSample,
-		traceSlow:       *traceSlow,
-		traceRetained:   *traceRetained,
-		slo:             slo,
+		requestTimeout: *reqTimeout,
+		maxBodyBytes:   *maxBody,
+		maxInflight:    *maxInflight,
+		slowRequest:    *slowReq,
+		logger:         logger,
+		router:         router,
+		clusterPath:    *clusterConfig,
+		syncer:         syncer,
+		traceSample:    *traceSample,
+		traceSlow:      *traceSlow,
+		traceRetained:  *traceRetained,
+		slo:            slo,
 	}
 	srv := &http.Server{
 		Addr:              *addr,

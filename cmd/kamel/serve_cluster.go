@@ -366,9 +366,9 @@ type wireTrainResponse struct {
 // the response; false means the batch is wholly local (single node, or every
 // group collapses to self).  Per group, the local membership trains through
 // the ordinary engine path and every peer member receives the group's
-// sub-batch once via ForwardWrite (single attempt, no retry and no hedge:
-// training is not idempotent, and a retry after a lost response could apply
-// the batch twice).  Acks are best-effort with a quorum report: the call
+// sub-batch once via ForwardWrite (single attempt, no retry: training is not
+// idempotent, and a retry after a lost response could apply the batch
+// twice).  Acks are best-effort with a quorum report: the call
 // fails with 503 only when some group was applied nowhere (the data would be
 // silently lost); a group below majority quorum is surfaced in the response
 // and the write-quorum counter, and anti-entropy later converges the lagging
@@ -533,12 +533,26 @@ func (s *apiServer) routeTrain(w http.ResponseWriter, r *http.Request, trajs []w
 	return true
 }
 
+// reloadShardMap re-reads the shard-map file and swaps it into the router —
+// the one reload path behind both SIGHUP and POST /v1/cluster/reload (the
+// router logs the swap).  status classifies a failure for the HTTP caller: a
+// file that cannot be read or parsed is 400; a valid map the router refuses
+// (stale generation, or no entry for this node) is a 409 conflict with the
+// map it already routes by.
+func reloadShardMap(rt *cluster.Router, path string) (m *cluster.Map, status int, err error) {
+	m, err = cluster.LoadMap(path)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	if err := rt.Reload(m); err != nil {
+		return nil, http.StatusConflict, err
+	}
+	return m, http.StatusOK, nil
+}
+
 // handleClusterReload re-reads the shard map file and swaps it in on this
 // node.  Operators hit it on every node after rolling out a new map (or send
-// SIGHUP); generations only move forward, so racing rollouts are safe.  A
-// -replicas override on this node applies to the reloaded map too, so an
-// operator cannot accidentally drop the replication factor by distributing a
-// map that omits it.
+// SIGHUP); generations only move forward, so racing rollouts are safe.
 func (s *apiServer) handleClusterReload(w http.ResponseWriter, r *http.Request) {
 	rt := s.opts.router
 	if rt == nil {
@@ -546,23 +560,18 @@ func (s *apiServer) handleClusterReload(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	if s.opts.clusterPath == "" {
-		writeError(w, http.StatusConflict, codeBadRequest, "no shard-map file configured to reload from")
+		writeError(w, http.StatusConflict, codeConflict, "no shard-map file configured to reload from")
 		return
 	}
-	m, err := cluster.LoadMap(s.opts.clusterPath)
+	m, status, err := reloadShardMap(rt, s.opts.clusterPath)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
+		code := codeBadRequest
+		if status == http.StatusConflict {
+			code = codeConflict
+		}
+		writeError(w, status, code, err.Error())
 		return
 	}
-	if s.opts.replicaOverride > 0 {
-		m.Replicas = s.opts.replicaOverride
-	}
-	if err := rt.Reload(m); err != nil {
-		writeError(w, http.StatusConflict, codeBadRequest, err.Error())
-		return
-	}
-	s.logger().Info("shard map reloaded via API", "component", "serve",
-		"generation", m.Generation, "shards", len(m.Shards), "replicas", m.ReplicaCount())
 	writeJSON(w, map[string]interface{}{
 		"status":     "reloaded",
 		"generation": m.Generation,

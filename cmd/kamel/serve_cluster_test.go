@@ -236,7 +236,6 @@ func newReplicaFixture(tb testing.TB, n, replicas int, tweaks ...func(*serveOpti
 			opts.logger = quietLogger()
 			opts.router = rt
 			opts.clusterPath = fx.mapPath
-			opts.replicaOverride = replicas
 			// On-demand anti-entropy (never Run in tests: sweeps are driven
 			// through POST /v1/cluster/antientropy, keeping tests deterministic).
 			opts.syncer = cluster.NewSyncer(rt, replicaStore{fx.syss[i]}, cluster.SyncerOptions{
@@ -258,14 +257,18 @@ func newReplicaFixture(tb testing.TB, n, replicas int, tweaks ...func(*serveOpti
 	return fx
 }
 
-// ownerIdx resolves which shard index owns a wire trajectory.
+// ownerIdx resolves which shard index is the primary of a wire trajectory's
+// replica group (its single owner at R=1).
 func (fx *clusterFixture) ownerIdx(tb testing.TB, tr wireTraj) int {
 	tb.Helper()
-	owner, _, ok := fx.c.Nodes[0].Router.Owner(wirePoints(tr))
-	if !ok {
-		tb.Fatalf("no owner for trajectory %s", tr.ID)
-	}
-	return shardIdx(tb, owner)
+	return shardIdx(tb, fx.groupOf(tb, tr)[0])
+}
+
+// ownedBy reports whether shard id is the primary of a trajectory's replica
+// group under rt's map.
+func ownedBy(rt *cluster.Router, tr wireTraj, id string) bool {
+	g, _, ok := rt.ReplicaGroup(wirePoints(tr))
+	return ok && g[0] == id
 }
 
 // groupOf resolves a wire trajectory's full replica group.
@@ -601,7 +604,7 @@ func TestClusterServeEndToEnd(t *testing.T) {
 
 		// The dead shard's cells re-homed to a survivor, so its trajectory is
 		// model-served again — no degradation, no 503.
-		if owner, _, _ := fx.c.Nodes[gw].Router.Owner(wirePoints(fx.sparse[0])); owner == victimID {
+		if ownedBy(fx.c.Nodes[gw].Router, fx.sparse[0], victimID) {
 			t.Fatalf("reload did not re-home cells away from %s", victimID)
 		}
 		status, _, raw := clusterReq(t, http.MethodPost, fx.c.Nodes[gw].URL()+"/v1/impute", nil, fx.sparse[0])
@@ -616,12 +619,14 @@ func TestClusterServeEndToEnd(t *testing.T) {
 			t.Error("re-homed trajectory still served degraded after reload")
 		}
 
-		// A stale (lower-generation) map is rejected with 409.
+		// A stale (lower-generation) map is rejected with 409 conflict.
 		writeShardMap(t, fx.mapPath, &old)
-		status, _, _ = clusterReq(t, http.MethodPost, fx.c.Nodes[gw].URL()+"/v1/cluster/reload", nil, nil)
-		if status != http.StatusConflict {
-			t.Errorf("stale map reload: status %d, want 409", status)
+		status, _, raw = clusterReq(t, http.MethodPost, fx.c.Nodes[gw].URL()+"/v1/cluster/reload", nil, nil)
+		var body map[string]interface{}
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Fatal(err)
 		}
+		wantErrorCode(t, status, body, http.StatusConflict, codeConflict)
 		writeShardMap(t, fx.mapPath, &next)
 	})
 }
@@ -666,7 +671,7 @@ func TestClusterUnavailableWhenAllOwnersDown(t *testing.T) {
 	for dx := 0; dx < 400 && tr.ID == ""; dx++ {
 		lat := 41.15 + float64(dx)*0.002
 		cand := wireTraj{ID: "probe", Points: [][3]float64{{lat, -8.61, 0}, {lat, -8.6, 600}}}
-		if owner, _, ok := c.Nodes[0].Router.Owner(wirePoints(cand)); ok && owner == "shard-1" {
+		if ownedBy(c.Nodes[0].Router, cand, "shard-1") {
 			tr = cand
 		}
 	}
@@ -708,6 +713,11 @@ func TestClusterUnavailableWhenAllOwnersDown(t *testing.T) {
 	if doc.Cluster == nil || doc.Cluster.Unavailable != 2 {
 		t.Errorf("unavailable_requests = %+v, want 2", doc.Cluster)
 	}
+
+	// A clustered node started without a shard-map file has nothing to
+	// reload: 409 conflict, the code /v1/train uses for its 409.
+	status, _, errDoc := call(t, http.MethodPost, c.Nodes[0].URL()+"/v1/cluster/reload", "application/json", "")
+	wantErrorCode(t, status, errDoc, http.StatusConflict, codeConflict)
 }
 
 // TestClusterReloadWithoutCluster pins the single-node behavior of the
@@ -716,6 +726,32 @@ func TestClusterReloadWithoutCluster(t *testing.T) {
 	ts := newTestServer(t)
 	status, _, body := call(t, http.MethodPost, ts.URL+"/v1/cluster/reload", "application/json", "")
 	wantErrorCode(t, status, body, http.StatusNotFound, codeNotFound)
+}
+
+// TestClusterServeFlags pins the two flags that switch `kamel serve` into
+// cluster mode: -cluster-config without -cluster-self is refused before
+// anything starts, and an unreadable map, or one without this node's id, stops
+// the node instead of starting one that cannot route.
+func TestClusterServeFlags(t *testing.T) {
+	prev := slog.Default() // runServe installs its own process-wide logger
+	t.Cleanup(func() { slog.SetDefault(prev) })
+	dir := t.TempDir()
+	mapPath := filepath.Join(dir, "shards.json")
+	writeShardMap(t, mapPath, &cluster.Map{Version: cluster.MapVersion, Generation: 1,
+		Shards: []cluster.Shard{{ID: "shard-0", Addr: "http://127.0.0.1:1"}}})
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cluster-config", mapPath}, "-cluster-self is required"},
+		{[]string{"-cluster-config", filepath.Join(dir, "missing.json"), "-cluster-self", "shard-0"}, "reading shard map"},
+		{[]string{"-cluster-config", mapPath, "-cluster-self", "shard-9"}, `self shard "shard-9" not in map`},
+	} {
+		args := append([]string{"-work", filepath.Join(dir, "work"), "-addr", "127.0.0.1:0", "-log-level", "error"}, tc.args...)
+		if err := runServe(args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("serve %v: error %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
 }
 
 // TestRemainingDeadlineMS pins the forwarded-deadline rebase: a hop must

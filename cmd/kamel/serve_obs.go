@@ -25,7 +25,7 @@ func isOps(path string) bool { return isProbe(path) || path == "/metrics" }
 var apiRoutes = map[string]bool{
 	"/v1/train": true, "/v1/impute": true, "/v1/impute/batch": true,
 	"/v1/stats": true, "/v1/cluster/reload": true, "/v1/traces": true,
-	"/v1/cluster/metrics": true, "/": true,
+	"/": true,
 }
 
 // normalizeRoute maps a request path to its histogram label: a known route

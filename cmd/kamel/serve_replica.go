@@ -12,8 +12,8 @@ import (
 // its replication manifest (what models it has, at what versions) and its
 // committed model payloads, and accepts an operator-triggered sweep.  All of
 // it is gated on clustering being enabled; a single-node deployment 404s.
+// The syncer's cumulative accounting is the anti_entropy block of /v1/stats.
 //
-//	GET  /v1/cluster             replica/rebuild/anti-entropy stats
 //	GET  /v1/cluster/manifest    this node's replication manifest
 //	GET  /v1/cluster/model?file= one committed model's encoded payload
 //	POST /v1/cluster/antientropy run one sweep now, return its outcome
@@ -65,32 +65,6 @@ func (rs replicaStore) InstallModels(models []cluster.IncomingModel) (int, error
 		conv[i] = core.ReplicaModel{Key: m.Key, Slot: m.Slot, Meta: m.Meta, Payload: m.Payload}
 	}
 	return rs.sys.InstallReplicaModels(conv)
-}
-
-// wireClusterDoc is the GET /v1/cluster response: the router's replication
-// stats, the anti-entropy accounting (when the background syncer is
-// enabled), and the rebuild parallelism in effect.
-type wireClusterDoc struct {
-	Cluster        cluster.Stats      `json:"cluster"`
-	AntiEntropy    *cluster.SyncStats `json:"anti_entropy,omitempty"`
-	RebuildWorkers int                `json:"rebuild_workers"`
-}
-
-func (s *apiServer) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
-	rt := s.opts.router
-	if rt == nil {
-		writeError(w, http.StatusNotFound, codeNotFound, "clustering is not enabled on this node")
-		return
-	}
-	doc := wireClusterDoc{
-		Cluster:        rt.ClusterStats(),
-		RebuildWorkers: s.sys.Config().RebuildWorkers,
-	}
-	if s.opts.syncer != nil {
-		st := s.opts.syncer.Stats()
-		doc.AntiEntropy = &st
-	}
-	writeJSON(w, doc)
 }
 
 func (s *apiServer) handleClusterManifest(w http.ResponseWriter, r *http.Request) {

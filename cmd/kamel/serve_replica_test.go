@@ -202,17 +202,17 @@ func TestClusterAntiEntropyConvergence(t *testing.T) {
 		t.Errorf("second sweep pulled %d models, want 0 (converged)", sweep.Pulled)
 	}
 
-	// The cluster doc surfaces the accounting.
-	status, _, raw = clusterReq(t, http.MethodGet, fx.c.Nodes[1].URL()+"/v1/cluster", nil, nil)
+	// /v1/stats surfaces the accounting.
+	status, _, raw = clusterReq(t, http.MethodGet, fx.c.Nodes[1].URL()+"/v1/stats", nil, nil)
 	if status != http.StatusOK {
-		t.Fatalf("cluster doc: status %d: %s", status, raw)
+		t.Fatalf("stats: status %d: %s", status, raw)
 	}
-	var doc wireClusterDoc
+	var doc wireStats
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Cluster.Replicas != 2 {
-		t.Errorf("cluster doc replicas = %d, want 2", doc.Cluster.Replicas)
+	if doc.Cluster == nil || doc.Cluster.Replicas != 2 {
+		t.Errorf("stats cluster block = %+v, want replicas 2", doc.Cluster)
 	}
 	if doc.AntiEntropy == nil || doc.AntiEntropy.Sweeps != 2 || doc.AntiEntropy.Pulled < int64(ahead) {
 		t.Errorf("anti-entropy stats = %+v, want 2 sweeps and >= %d pulls", doc.AntiEntropy, ahead)
@@ -375,7 +375,7 @@ func TestClusterBatchAccountingPerElement(t *testing.T) {
 			ID:     fmt.Sprintf("probe-%d", dx),
 			Points: [][3]float64{{lat, -8.61, 0}, {lat, -8.6, 600}},
 		}
-		if owner, _, ok := c.Nodes[0].Router.Owner(wirePoints(cand)); ok && owner == "shard-1" {
+		if ownedBy(c.Nodes[0].Router, cand, "shard-1") {
 			probes = append(probes, cand)
 		}
 	}

@@ -214,6 +214,11 @@ func TestServeTraceIDInErrorEnvelope(t *testing.T) {
 		<-blocked
 	}
 	defer release()
+	// The client buffers a streamed body's headers until the first chunk, so
+	// send one byte: the request then reaches the server and holds the slot.
+	if _, err := pw.Write([]byte("{")); err != nil {
+		t.Fatal(err)
+	}
 
 	// Poll until the blocked request holds the slot and a probe is shed.
 	var shedResp *http.Response
@@ -310,8 +315,7 @@ func TestServeBuildInfoMetric(t *testing.T) {
 // OFF, a slow forwarded request is retrievable after the fact from the
 // gateway as one stitched multi-hop span tree; its trace ID is discoverable
 // from the gateway's route-latency exemplar; a replica-failover walk yields
-// one trace recording both attempts; and /v1/cluster/metrics federates every
-// node's registry under a node label.
+// one trace recording both attempts.
 func TestClusterTraceStitchingAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
@@ -410,27 +414,6 @@ func TestClusterTraceStitchingAcceptance(t *testing.T) {
 		})
 		if !foundEx {
 			t.Error("gateway /v1/impute latency histogram has no exemplar for the trace")
-		}
-	})
-
-	t.Run("FederatedClusterMetrics", func(t *testing.T) {
-		resp, err := http.Get(gwURL + "/v1/cluster/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := string(raw)
-		for i := 0; i < 3; i++ {
-			if !strings.Contains(out, fmt.Sprintf(`kamel_federation_up{node="shard-%d"} 1`, i)) {
-				t.Errorf("federated exposition missing up series for shard-%d:\n%.2000s", i, out)
-			}
-		}
-		if !strings.Contains(out, `kamel_http_request_duration_seconds_bucket{node="`) {
-			t.Error("federated exposition missing node-labeled latency series")
 		}
 	})
 

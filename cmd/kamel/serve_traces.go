@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/url"
@@ -14,10 +13,8 @@ import (
 )
 
 // This file is the HTTP face of the distributed tracing plane: the retained-
-// trace listing (/v1/traces), the cross-node stitched span tree
-// (/v1/traces/{id}), and the cluster-wide metrics federation
-// (/v1/cluster/metrics).  The kamel trace CLI subcommand consumes the first
-// two.
+// trace listing (/v1/traces) and the cross-node stitched span tree
+// (/v1/traces/{id}), both consumed by the kamel trace CLI subcommand.
 
 // wireTraceSpan is one span inside a hop, offsets relative to the hop start.
 type wireTraceSpan struct {
@@ -209,31 +206,4 @@ func (s *apiServer) handleTraceDetail(w http.ResponseWriter, r *http.Request) {
 		return doc.Hops[i].StartUnixMS < doc.Hops[j].StartUnixMS
 	})
 	writeJSON(w, doc)
-}
-
-// handleClusterMetrics federates the whole deployment's metrics: this node's
-// exposition merged with every peer's under an injected node label, plus a
-// kamel_federation_up series per node.  On a single-node deployment it is the
-// local exposition with the node label added.
-func (s *apiServer) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
-	var self bytes.Buffer
-	if err := s.sys.Obs().WritePrometheus(&self); err != nil {
-		writeErrorTraced(w, r, http.StatusInternalServerError, codeInternal, err.Error())
-		return
-	}
-	sources := []obs.FederatedSource{{Node: s.node(), Text: self.Bytes(), Up: true}}
-	if rt := s.opts.router; rt != nil {
-		for _, peerID := range rt.PeerIDs() {
-			res, err := rt.Get(r.Context(), peerID, "/metrics")
-			src := obs.FederatedSource{Node: peerID, Up: err == nil && res.Status == http.StatusOK}
-			if src.Up {
-				src.Text = res.Body
-			}
-			sources = append(sources, src)
-		}
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.WriteFederated(w, sources); err != nil {
-		s.logger().Error("writing federated exposition", "component", "serve", "err", err)
-	}
 }

@@ -108,7 +108,7 @@ type SweepStats struct {
 	TokenizerRejects int `json:"tokenizer_rejects"`
 }
 
-// SyncStats is the syncer's cumulative accounting for /v1/cluster.
+// SyncStats is the syncer's cumulative accounting, reported in /v1/stats.
 type SyncStats struct {
 	Sweeps     int64      `json:"sweeps"`
 	Pulled     int64      `json:"models_pulled"`

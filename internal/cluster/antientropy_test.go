@@ -1,14 +1,18 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"kamel/internal/geo"
+	"kamel/internal/obs"
 	"kamel/internal/pyramid"
 )
 
@@ -201,8 +205,9 @@ func TestClusterAntiEntropyResponsibility(t *testing.T) {
 
 // TestClusterAntiEntropyTokenizerMismatch pins the token-space compatibility
 // gate: a peer advertising a different tokenizer spec hash is refused
-// entirely — none of its models are pulled, however new their versions —
-// while empty hashes (pre-spec nodes) remain compatible for rolling upgrades.
+// entirely — none of its models are pulled, however new their versions — and
+// the refusal reaches the operator as a warning and a counter, while empty
+// hashes (pre-spec nodes) remain compatible for rolling upgrades.
 func TestClusterAntiEntropyTokenizerMismatch(t *testing.T) {
 	cfg := pyramid.Config{Root: geo.Rect{MinX: 0, MinY: 0, MaxX: 2000, MaxY: 2000}, H: 2, L: 3, K: 100}
 	key := pyramid.CellKey{Level: 0, IX: 0, IY: 0}
@@ -241,7 +246,9 @@ func TestClusterAntiEntropyTokenizerMismatch(t *testing.T) {
 		Shard: "shard-0", OriginLat: 41.15, OriginLng: -8.61, Config: cfg,
 		TokenizerSpecHash: "deadbeef",
 	}}
-	sy := NewSyncer(rt, store, SyncerOptions{Logger: testLogger()})
+	var logs bytes.Buffer
+	reg := obs.NewRegistry()
+	sy := NewSyncer(rt, store, SyncerOptions{Logger: slog.New(slog.NewTextHandler(&logs, nil)), Registry: reg})
 
 	st := sy.SweepOnce(context.Background())
 	if st.Pulled != 0 || len(store.installed) != 0 {
@@ -252,6 +259,12 @@ func TestClusterAntiEntropyTokenizerMismatch(t *testing.T) {
 	}
 	if st.ModelsCompared != 0 {
 		t.Fatal("refused peer's models were still compared")
+	}
+	if n := reg.Counter("kamel_antientropy_tokenizer_rejects_total", "").Value(); n != 1 {
+		t.Errorf("kamel_antientropy_tokenizer_rejects_total = %d, want 1", n)
+	}
+	if out := logs.String(); !strings.Contains(out, "mismatched tokenizer spec") || !strings.Contains(out, "peer=shard-1") {
+		t.Errorf("refused peer not named in the warning log:\n%s", out)
 	}
 
 	// Same hash on both sides: the gate opens and the model is pulled.

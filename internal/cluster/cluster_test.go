@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,12 +9,14 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"kamel/internal/geo"
 	"kamel/internal/grid"
+	"kamel/internal/obs"
 )
 
 func testLogger() *slog.Logger {
@@ -83,18 +86,19 @@ func TestClusterMapValidation(t *testing.T) {
 // on: determinism, rough balance, and minimal disruption when a shard leaves.
 func TestClusterRendezvousProperties(t *testing.T) {
 	ids := []string{"shard-0", "shard-1", "shard-2", "shard-3", "shard-4"}
+	ownerOf := func(ids []string, c grid.Cell) string { return rendezvousRank(ids, c, 1)[0] }
 	const cells = 2000
 	counts := make(map[string]int)
 	owners := make(map[grid.Cell]string, cells)
 	for i := 0; i < cells; i++ {
 		c := grid.Cell(int64(i)*2654435761 ^ int64(i)<<32)
-		owner := rendezvousOwner(ids, c)
-		if again := rendezvousOwner(ids, c); again != owner {
+		owner := ownerOf(ids, c)
+		if again := ownerOf(ids, c); again != owner {
 			t.Fatalf("owner of %v not deterministic: %q then %q", c, owner, again)
 		}
 		// Roster order must not matter.
 		rev := []string{"shard-4", "shard-3", "shard-2", "shard-1", "shard-0"}
-		if other := rendezvousOwner(rev, c); other != owner {
+		if other := ownerOf(rev, c); other != owner {
 			t.Fatalf("owner of %v depends on roster order: %q vs %q", c, owner, other)
 		}
 		owners[c] = owner
@@ -110,7 +114,7 @@ func TestClusterRendezvousProperties(t *testing.T) {
 	without := []string{"shard-0", "shard-1", "shard-3", "shard-4"}
 	moved := 0
 	for c, owner := range owners {
-		newOwner := rendezvousOwner(without, c)
+		newOwner := ownerOf(without, c)
 		if owner == "shard-2" {
 			moved++
 			if newOwner == "shard-2" {
@@ -128,7 +132,8 @@ func TestClusterRendezvousProperties(t *testing.T) {
 }
 
 // TestClusterOwnerAnchor checks trajectory routing keys off the MBR center
-// and stays stable across nodes evaluating the same map.
+// and stays stable across nodes evaluating the same map: at R=1 the replica
+// group is the cell's single rendezvous owner.
 func TestClusterOwnerAnchor(t *testing.T) {
 	m := testMap(1,
 		Shard{ID: "shard-0", Addr: "http://h:1"},
@@ -148,30 +153,30 @@ func TestClusterOwnerAnchor(t *testing.T) {
 			{Lat: 41.15 + float64(i)*0.004, Lng: -8.61, T: 0},
 			{Lat: 41.15 + float64(i)*0.004 + 0.001, Lng: -8.609, T: 60},
 		}
-		o0, c0, ok := r0.Owner(pts)
-		if !ok {
-			t.Fatal("Owner rejected a non-empty trajectory")
+		g0, c0, ok := r0.ReplicaGroup(pts)
+		if !ok || len(g0) != 1 {
+			t.Fatalf("R=1 group = %v ok=%v, want a single owner", g0, ok)
 		}
-		o1, c1, _ := r1.Owner(pts)
-		if o0 != o1 || c0 != c1 {
-			t.Fatalf("nodes disagree on owner: %q/%v vs %q/%v", o0, c0, o1, c1)
+		g1, c1, _ := r1.ReplicaGroup(pts)
+		if g0[0] != g1[0] || c0 != c1 {
+			t.Fatalf("nodes disagree on owner: %q/%v vs %q/%v", g0[0], c0, g1[0], c1)
 		}
-		if r0.OwnerOfCell(c0) != o0 {
-			t.Fatal("OwnerOfCell disagrees with Owner")
+		// The MBR center decides: the reversed trajectory routes identically.
+		rev, _, _ := r0.ReplicaGroup([]geo.Point{pts[1], pts[0]})
+		if rev[0] != g0[0] {
+			t.Fatalf("point order moved the owner: %q vs %q", rev[0], g0[0])
 		}
-		seen[o0] = true
+		seen[g0[0]] = true
 	}
 	if len(seen) < 2 {
 		t.Errorf("40 spread trajectories landed on %d shard(s); want spatial spread", len(seen))
 	}
-	if self, _, ok := r0.Owner(nil); ok || self != "shard-0" {
-		t.Errorf("empty trajectory: owner %q ok=%v, want self and ok=false", self, ok)
-	}
 }
 
 // TestClusterForwardRetryAndRecovery drives the bounded-retry path: a peer
-// that fails once is retried with backoff, succeeds, and stays healthy; a
-// dead peer exhausts the budget and surfaces ErrPeerUnavailable.
+// that fails once is retried after RetryBackoff, succeeds, and stays healthy;
+// a dead peer exhausts the one retry, surfaces ErrPeerUnavailable, and is
+// named in the operator's warning log.
 func TestClusterForwardRetryAndRecovery(t *testing.T) {
 	var calls atomic.Int64
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -187,13 +192,19 @@ func TestClusterForwardRetryAndRecovery(t *testing.T) {
 	defer peer.Close()
 
 	m := testMap(1, Shard{ID: "shard-0", Addr: "http://h:1"}, Shard{ID: "shard-1", Addr: peer.URL})
-	rt, err := New(m, Options{Self: "shard-0", Retries: 1, RetryBackoff: time.Millisecond, Logger: testLogger()})
+	const backoff = 20 * time.Millisecond
+	var logs bytes.Buffer
+	rt, err := New(m, Options{Self: "shard-0", RetryBackoff: backoff, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
 	res, err := rt.Forward(context.Background(), "shard-1", "/v1/impute", []byte(`{}`))
 	if err != nil {
 		t.Fatalf("forward with one transient failure: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < backoff {
+		t.Errorf("retry after %v, want at least RetryBackoff %v", elapsed, backoff)
 	}
 	if res.Status != http.StatusOK || string(res.Body) != `{"ok":true}` {
 		t.Fatalf("unexpected result %d %q", res.Status, res.Body)
@@ -221,52 +232,13 @@ func TestClusterForwardRetryAndRecovery(t *testing.T) {
 	if st := rt.ClusterStats(); st.ForwardErrors != 1 {
 		t.Errorf("forward errors = %d, want 1", st.ForwardErrors)
 	}
+	if out := logs.String(); !strings.Contains(out, "forward failed") || !strings.Contains(out, "peer=shard-1") {
+		t.Errorf("dead peer not named in the warning log:\n%s", out)
+	}
 
 	// Unknown shards are a distinct, non-retried error.
 	if _, err := rt.Forward(context.Background(), "nope", "/", nil); !errors.Is(err, ErrUnknownShard) {
 		t.Fatalf("unknown shard error = %v", err)
-	}
-}
-
-// TestClusterForwardHedging checks the tail-latency hedge: when the primary
-// attempt stalls, a second identical request is launched after HedgeAfter
-// and its (fast) response wins.
-func TestClusterForwardHedging(t *testing.T) {
-	var calls atomic.Int64
-	release := make(chan struct{})
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			<-release // first request stalls until the test ends
-		}
-		fmt.Fprint(w, `{"fast":true}`)
-	}))
-	defer peer.Close()
-	defer close(release)
-
-	m := testMap(1, Shard{ID: "shard-0", Addr: "http://h:1"}, Shard{ID: "shard-1", Addr: peer.URL})
-	rt, err := New(m, Options{
-		Self: "shard-0", HedgeAfter: 10 * time.Millisecond,
-		ForwardTimeout: 5 * time.Second, Logger: testLogger(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	res, err := rt.Forward(context.Background(), "shard-1", "/v1/impute", []byte(`{}`))
-	if err != nil {
-		t.Fatalf("hedged forward: %v", err)
-	}
-	if string(res.Body) != `{"fast":true}` {
-		t.Fatalf("unexpected body %q", res.Body)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("hedge did not rescue the stalled request (took %v)", elapsed)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("peer saw %d calls, want 2 (stalled primary + hedge)", got)
-	}
-	if st := rt.ClusterStats(); st.Hedges != 1 {
-		t.Errorf("hedges = %d, want 1", st.Hedges)
 	}
 }
 
@@ -432,6 +404,192 @@ func TestClusterForwardWriteBypassesReadinessGate(t *testing.T) {
 	// A write ack must not flip the readiness verdict — only /readyz does.
 	if rt.Healthy("shard-1") {
 		t.Error("write ack marked a not-ready peer healthy")
+	}
+	cancel()
+	<-probeDone
+}
+
+// TestClusterForwardBusyKeepsReadiness pins that an active refusal proves a
+// peer alive, never ready: once the probe has marked a peer not-ready, a
+// write answered 409 (tokenizer-spec conflict) or 429 (shedding), and a read
+// answered 409 (not trained), all leave Healthy false — only /readyz decides.
+func TestClusterForwardBusyKeepsReadiness(t *testing.T) {
+	var status atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			http.Error(w, `{"error":{"code":"not_trained"}}`, http.StatusServiceUnavailable)
+			return
+		}
+		code := int(status.Load())
+		w.WriteHeader(code)
+		fmt.Fprintf(w, `{"error":{"code":"x","message":"status %d"}}`, code)
+	}))
+	defer peer.Close()
+
+	m := testMap(1, Shard{ID: "shard-0", Addr: "http://h:1"}, Shard{ID: "shard-1", Addr: peer.URL})
+	// One immediate probe, then none for the test's lifetime: nothing but the
+	// forwards below can touch the verdict it leaves.
+	rt, err := New(m, Options{Self: "shard-0", ProbeInterval: time.Hour, Logger: testLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	probeDone := make(chan struct{})
+	go func() { rt.StartProbing(ctx); close(probeDone) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.Healthy("shard-1") {
+		if time.Now().After(deadline) {
+			t.Fatal("peer never marked not-ready")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	for _, code := range []int{http.StatusConflict, http.StatusTooManyRequests} {
+		status.Store(int64(code))
+		if _, err := rt.ForwardWrite(ctx, "shard-1", "/v1/train", []byte(`[]`)); !errors.Is(err, ErrPeerBusy) {
+			t.Fatalf("write answered %d: error = %v, want ErrPeerBusy", code, err)
+		}
+		if rt.Healthy("shard-1") {
+			t.Fatalf("write answered %d marked a not-ready peer ready", code)
+		}
+	}
+	cancel()
+	<-probeDone
+
+	// Without a probe loop reads are not gated, so a read reaches the peer:
+	// its 409 not_trained must not flip the verdict either.
+	status.Store(http.StatusConflict)
+	if _, err := rt.Forward(context.Background(), "shard-1", "/v1/impute", []byte(`{}`)); !errors.Is(err, ErrPeerBusy) {
+		t.Fatalf("read answered 409: error = %v, want ErrPeerBusy", err)
+	}
+	if rt.Healthy("shard-1") {
+		t.Fatal("read answered 409 not_trained marked a not-ready peer ready")
+	}
+}
+
+// TestClusterForwardTimeoutRoutesAroundStall pins what replaced same-peer
+// hedging: a peer that accepts the connection and never answers costs each
+// attempt at most ForwardTimeout, after which the replica walk serves the
+// request from the next member of the group.
+func TestClusterForwardTimeoutRoutesAroundStall(t *testing.T) {
+	release := make(chan struct{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+	}))
+	defer stalled.Close()
+	defer close(release)
+	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"ok":true}`)
+	}))
+	defer ok.Close()
+
+	m := testMap(1,
+		Shard{ID: "shard-0", Addr: "http://h:1"},
+		Shard{ID: "shard-1", Addr: stalled.URL},
+		Shard{ID: "shard-2", Addr: ok.URL})
+	rt, err := New(m, Options{
+		Self: "shard-0", ForwardTimeout: 50 * time.Millisecond, RetryBackoff: time.Millisecond,
+		Logger: testLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, servedBy, err := rt.ForwardAny(context.Background(), []string{"shard-1", "shard-2"}, "/v1/impute", []byte(`{}`))
+	if err != nil || servedBy != "shard-2" || res.Status != http.StatusOK {
+		t.Fatalf("walk past stalled peer: served by %q status %d err %v, want shard-2/200", servedBy, res.Status, err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("stalled peer held the walk for %v; ForwardTimeout did not bound it", elapsed)
+	}
+	if rt.Healthy("shard-1") {
+		t.Error("stalled peer still marked healthy after timing out twice")
+	}
+}
+
+// TestClusterProbeTimeoutCapped pins the probe's own deadline: a peer whose
+// /readyz never answers is marked down within the 2 s cap even when the probe
+// period is far longer, instead of wedging the probe loop for a whole period.
+func TestClusterProbeTimeoutCapped(t *testing.T) {
+	release := make(chan struct{})
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+	}))
+	defer peer.Close()
+	defer close(release)
+
+	m := testMap(1, Shard{ID: "shard-0", Addr: "http://h:1"}, Shard{ID: "shard-1", Addr: peer.URL})
+	rt, err := New(m, Options{Self: "shard-0", ProbeInterval: time.Hour, Logger: testLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	probeDone := make(chan struct{})
+	go func() { rt.StartProbing(ctx); close(probeDone) }()
+	deadline := time.Now().Add(4 * time.Second)
+	for rt.Healthy("shard-1") {
+		if time.Now().After(deadline) {
+			t.Fatal("a never-answering peer was not marked down within the probe timeout cap")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	cancel()
+	<-probeDone
+}
+
+// TestClusterMetricsExport pins the router's exported gauges and per-peer
+// histogram as an operator scrapes them from the node's registry: the map
+// generation (is every node on the rolled-out map?), the healthy-peer count
+// (is a peer down?) and forward latency by peer (which peer is slow?).
+func TestClusterMetricsExport(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			http.Error(w, "warming", http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprint(w, `{}`)
+	}))
+	defer peer.Close()
+
+	reg := obs.NewRegistry()
+	m := testMap(1, Shard{ID: "shard-0", Addr: "http://h:1"}, Shard{ID: "shard-1", Addr: peer.URL})
+	rt, err := New(m, Options{Self: "shard-0", ProbeInterval: time.Hour, Logger: testLogger(), Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Forward(context.Background(), "shard-1", "/v1/impute", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Reload(testMap(2, m.Shards...)); err != nil {
+		t.Fatal(err)
+	}
+	scrape := func() string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for _, want := range []string{
+		"kamel_cluster_map_generation 2",
+		"kamel_cluster_peers_healthy 1",
+		`kamel_cluster_forward_seconds_count{peer="shard-1"} 1`,
+	} {
+		if out := scrape(); !strings.Contains(out, want+"\n") {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+
+	// The probe finds the peer not ready: the gauge drops.
+	ctx, cancel := context.WithCancel(context.Background())
+	probeDone := make(chan struct{})
+	go func() { rt.StartProbing(ctx); close(probeDone) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(scrape(), "kamel_cluster_peers_healthy 0\n") {
+		if time.Now().After(deadline) {
+			t.Fatal("kamel_cluster_peers_healthy never dropped to 0 for a not-ready peer")
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 	cancel()
 	<-probeDone

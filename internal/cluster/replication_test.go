@@ -15,7 +15,7 @@ import (
 )
 
 // TestClusterRendezvousRank checks the ordered candidate list the replica
-// groups are built from: the first entry is the rendezvous owner, the list is
+// groups are built from: the first entry is the R=1 owner, the list is
 // deterministic and roster-order independent, members are distinct, and
 // removing the primary promotes the rest of the list element-wise (the N-way
 // extension of rendezvous hashing's minimal-disruption property).
@@ -28,8 +28,8 @@ func TestClusterRendezvousRank(t *testing.T) {
 		if len(rank) != 3 {
 			t.Fatalf("rank length %d, want 3", len(rank))
 		}
-		if rank[0] != rendezvousOwner(ids, c) {
-			t.Fatalf("rank[0] %q != owner %q for cell %v", rank[0], rendezvousOwner(ids, c), c)
+		if owner := rendezvousRank(ids, c, 1)[0]; rank[0] != owner {
+			t.Fatalf("rank[0] %q != R=1 owner %q for cell %v", rank[0], owner, c)
 		}
 		seen := map[string]bool{}
 		for _, id := range rank {
@@ -91,9 +91,9 @@ func TestClusterMapReplicas(t *testing.T) {
 	}
 }
 
-// TestClusterReplicaGroup checks the router's group resolution: the group has
-// ReplicaCount members led by the owner, agrees across nodes, and an empty
-// trajectory collapses to self.
+// TestClusterReplicaGroup checks the router's group resolution: the group is
+// the top-ReplicaCount rendezvous ranking of the trajectory's shard cell,
+// agrees across nodes, and an empty trajectory collapses to self.
 func TestClusterReplicaGroup(t *testing.T) {
 	m := testMap(1,
 		Shard{ID: "shard-0", Addr: "http://h:1"},
@@ -116,16 +116,12 @@ func TestClusterReplicaGroup(t *testing.T) {
 	if !ok || len(g0) != 2 {
 		t.Fatalf("group = %v ok=%v, want 2 members", g0, ok)
 	}
-	owner, _, _ := r0.Owner(pts)
-	if g0[0] != owner {
-		t.Fatalf("group %v not led by owner %q", g0, owner)
+	if rank := rendezvousRank(m.ShardIDs(), c0, 2); rank[0] != g0[0] || rank[1] != g0[1] {
+		t.Fatalf("group %v is not the cell's rendezvous ranking %v", g0, rank)
 	}
 	g1, _, _ := r1.ReplicaGroup(pts)
 	if len(g1) != 2 || g1[0] != g0[0] || g1[1] != g0[1] {
 		t.Fatalf("nodes disagree on replica group: %v vs %v", g0, g1)
-	}
-	if got := r0.ReplicasOfCell(c0); len(got) != 2 || got[0] != g0[0] {
-		t.Fatalf("ReplicasOfCell = %v, want %v", got, g0)
 	}
 	if g, _, ok := r0.ReplicaGroup(nil); ok || len(g) != 1 || g[0] != "shard-0" {
 		t.Fatalf("empty trajectory group = %v ok=%v, want [self] and ok=false", g, ok)
@@ -149,7 +145,7 @@ func TestClusterForwardBusyClassification(t *testing.T) {
 
 	m := testMap(1, Shard{ID: "shard-0", Addr: "http://h:1"}, Shard{ID: "shard-1", Addr: peer.URL})
 	rt, err := New(m, Options{
-		Self: "shard-0", Retries: 3, RetryBackoff: time.Millisecond,
+		Self: "shard-0", RetryBackoff: time.Millisecond,
 		Logger: testLogger(),
 	})
 	if err != nil {
@@ -192,7 +188,7 @@ func TestClusterForwardBusyClassification(t *testing.T) {
 }
 
 // TestClusterForwardWriteSingleAttempt pins the non-idempotent write path:
-// one attempt only, even against a 500-answering peer with retry budget.
+// one attempt only, even against a 500-answering peer that a read would retry.
 func TestClusterForwardWriteSingleAttempt(t *testing.T) {
 	var calls atomic.Int64
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -202,7 +198,7 @@ func TestClusterForwardWriteSingleAttempt(t *testing.T) {
 	defer peer.Close()
 
 	m := testMap(1, Shard{ID: "shard-0", Addr: "http://h:1"}, Shard{ID: "shard-1", Addr: peer.URL})
-	rt, err := New(m, Options{Self: "shard-0", Retries: 3, RetryBackoff: time.Millisecond, Logger: testLogger()})
+	rt, err := New(m, Options{Self: "shard-0", RetryBackoff: time.Millisecond, Logger: testLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +227,7 @@ func TestClusterForwardAnyFailover(t *testing.T) {
 		Shard{ID: "shard-0", Addr: "http://h:1"},
 		Shard{ID: "shard-1", Addr: dead.URL},
 		Shard{ID: "shard-2", Addr: alive.URL})
-	rt, err := New(m, Options{Self: "shard-0", Retries: 0, RetryBackoff: time.Millisecond, Logger: testLogger()})
+	rt, err := New(m, Options{Self: "shard-0", RetryBackoff: time.Millisecond, Logger: testLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,11 @@ var ErrPeerUnavailable = errors.New("cluster: peer unavailable")
 
 // ErrPeerBusy marks a peer that is alive but actively refusing the work
 // right now — 429 from its admission batcher or 409 (not trained).  It is
-// deliberately NOT retried or hedged: retrying into an overloaded peer's
-// shedder is a retry storm, and a peer that refused once will refuse the
-// identical request again.  The peer stays healthy; the caller's degradation
-// ladder moves on (next replica, then the linear fallback).
+// deliberately NOT retried: retrying into an overloaded peer's shedder is a
+// retry storm, and a peer that refused once will refuse the identical request
+// again.  The refusal proves the peer alive but says nothing about its
+// readiness (only /readyz decides that); the caller's degradation ladder
+// moves on (next replica, then the linear fallback).
 var ErrPeerBusy = errors.New("cluster: peer busy")
 
 // ErrStaleMap is returned by Reload for a map whose generation is below the
@@ -43,6 +44,12 @@ var ErrStaleMap = errors.New("cluster: stale shard map generation")
 // ErrUnknownShard is returned by Forward for a shard id absent from the map.
 var ErrUnknownShard = errors.New("cluster: unknown shard")
 
+// forwardRetries is how many additional attempts follow a failed read
+// forward.  One retry absorbs a transient connect error or 5xx; a peer that
+// fails twice is left to the replica walk (ForwardAny), which routes around
+// it instead of waiting on it.
+const forwardRetries = 1
+
 // Options tune a Router.  The zero value of each field selects the default
 // noted on it.
 type Options struct {
@@ -51,21 +58,10 @@ type Options struct {
 	Self string
 	// ForwardTimeout bounds one forwarded attempt (default 10s).
 	ForwardTimeout time.Duration
-	// Retries is how many additional attempts follow a failed forward
-	// (default 1; negative disables retries).
-	Retries int
-	// RetryBackoff is the pause before the first retry, doubled per retry
-	// (default 50ms).
+	// RetryBackoff is the pause before a read forward's retry (default 50ms).
 	RetryBackoff time.Duration
-	// HedgeAfter, when positive, launches a second identical request if the
-	// first has not answered within this duration, and takes whichever
-	// finishes first — the classic tail-latency hedge.  0 disables.
-	HedgeAfter time.Duration
 	// ProbeInterval is the /readyz health-probe period (default 5s).
 	ProbeInterval time.Duration
-	// Transport overrides the forwarding HTTP transport (tests inject
-	// failure modes here); nil uses http.DefaultTransport.
-	Transport http.RoundTripper
 	// Logger receives forward/probe warnings; nil uses slog.Default().
 	Logger *slog.Logger
 	// Registry receives the router's metrics (kamel_cluster_*); nil creates
@@ -77,12 +73,6 @@ func (o *Options) withDefaults() Options {
 	out := *o
 	if out.ForwardTimeout <= 0 {
 		out.ForwardTimeout = 10 * time.Second
-	}
-	if out.Retries == 0 {
-		out.Retries = 1
-	}
-	if out.Retries < 0 {
-		out.Retries = 0
 	}
 	if out.RetryBackoff <= 0 {
 		out.RetryBackoff = 50 * time.Millisecond
@@ -111,7 +101,6 @@ type peer struct {
 	// healthy: the peer's /readyz answered 200 — it can serve model
 	// imputations.  Gates reads.
 	healthy atomic.Bool
-	fails   atomic.Int64 // consecutive forward failures
 }
 
 // routeState is the immutable evaluation of one shard map.  Swapped whole on
@@ -124,8 +113,9 @@ type routeState struct {
 	peers map[string]*peer
 }
 
-// Router owns the routing decision (Owner) and the transport to peers
-// (Forward).  All methods are safe for concurrent use.
+// Router owns the routing decision (ReplicaGroup) and the transport to peers
+// (Forward, ForwardAny, ForwardWrite, Get).  All methods are safe for
+// concurrent use.
 type Router struct {
 	opts    Options
 	client  *http.Client
@@ -135,10 +125,8 @@ type Router struct {
 	forwards    *obs.Counter // forwarded requests attempted
 	forwardErrs *obs.Counter // forwards that exhausted retries
 	retries     *obs.Counter // retry attempts issued
-	hedges      *obs.Counter // hedged second requests launched
 	degraded    *obs.Counter // elements served by the local linear fallback
 	unavailable *obs.Counter // elements answered 503: no replica, no fallback
-	probeFails  *obs.Counter // health probes that failed
 	failovers   *obs.Counter // forwards that moved past the primary replica
 	writeFwd    *obs.Counter // train sub-batches forwarded to replica peers
 	writeErrs   *obs.Counter // train sub-batch forwards that failed
@@ -159,7 +147,7 @@ func New(m *Map, opts Options) (*Router, error) {
 	}
 	r := &Router{
 		opts:   o,
-		client: &http.Client{Transport: o.Transport},
+		client: &http.Client{},
 		hists:  make(map[string]*obs.Histogram),
 	}
 	reg := o.Registry
@@ -169,14 +157,10 @@ func New(m *Map, opts Options) (*Router, error) {
 		"Forwards that exhausted their retry budget.")
 	r.retries = reg.Counter("kamel_cluster_retries_total",
 		"Forward retry attempts issued.")
-	r.hedges = reg.Counter("kamel_cluster_hedges_total",
-		"Hedged second requests launched against a slow peer.")
 	r.degraded = reg.Counter("kamel_cluster_degraded_total",
 		"Requests served by the local linear fallback because the owning shard was down.")
 	r.unavailable = reg.Counter("kamel_cluster_unavailable_total",
 		"Requests answered 503: every owning peer unreachable and no local fallback.")
-	r.probeFails = reg.Counter("kamel_cluster_probe_failures_total",
-		"Peer health probes that failed.")
 	r.failovers = reg.Counter("kamel_cluster_failovers_total",
 		"Forwards that failed over past the primary to a lower-ranked replica.")
 	r.writeFwd = reg.Counter("kamel_cluster_write_forwards_total",
@@ -185,17 +169,9 @@ func New(m *Map, opts Options) (*Router, error) {
 		"Train sub-batch forwards that failed.")
 	r.quorumFails = reg.Counter("kamel_cluster_write_quorum_failures_total",
 		"Train replica groups acknowledged by fewer than a majority.")
-	reg.GaugeFunc("kamel_cluster_replicas",
-		"Replica-group size of the shard map currently routing.", func() float64 {
-			return float64(r.Map().ReplicaCount())
-		})
 	reg.GaugeFunc("kamel_cluster_map_generation",
 		"Generation of the shard map currently routing.", func() float64 {
 			return float64(r.Map().Generation)
-		})
-	reg.GaugeFunc("kamel_cluster_peers",
-		"Shards in the map, excluding self.", func() float64 {
-			return float64(len(r.state.Load().peers))
 		})
 	reg.GaugeFunc("kamel_cluster_peers_healthy",
 		"Peers whose last health signal was good.", func() float64 {
@@ -237,7 +213,6 @@ func (r *Router) buildState(m *Map, prev *routeState) (*routeState, error) {
 			if old, ok := prev.peers[sh.ID]; ok && old.shard.Addr == sh.Addr {
 				p.alive.Store(old.alive.Load())
 				p.healthy.Store(old.healthy.Load())
-				p.fails.Store(old.fails.Load())
 			}
 		}
 		st.peers[sh.ID] = p
@@ -275,25 +250,6 @@ func (r *Router) Self() string { return r.opts.Self }
 // Map returns the shard map currently routing.
 func (r *Router) Map() *Map { return r.state.Load().m }
 
-// Owner returns the shard owning the trajectory described by points, plus
-// the shard cell that decided it.  ok is false for an empty point list (the
-// caller should serve locally; there is nothing spatial to route by).
-func (r *Router) Owner(points []geo.Point) (shardID string, cell grid.Cell, ok bool) {
-	a, ok := anchor(points)
-	if !ok {
-		return r.opts.Self, 0, false
-	}
-	st := r.state.Load()
-	c := st.keys.cellFor(a)
-	return rendezvousOwner(st.ids, c), c, true
-}
-
-// OwnerOfCell returns the shard owning one shard cell under the current map.
-func (r *Router) OwnerOfCell(c grid.Cell) string {
-	st := r.state.Load()
-	return rendezvousOwner(st.ids, c)
-}
-
 // ReplicaGroup returns the ordered replica group for the trajectory described
 // by points: the map's top-R rendezvous candidates for its shard cell, primary
 // first.  ok is false for an empty point list (serve locally).
@@ -305,12 +261,6 @@ func (r *Router) ReplicaGroup(points []geo.Point) (group []string, cell grid.Cel
 	st := r.state.Load()
 	c := st.keys.cellFor(a)
 	return rendezvousRank(st.ids, c, st.m.ReplicaCount()), c, true
-}
-
-// ReplicasOfCell returns the ordered replica group of one shard cell.
-func (r *Router) ReplicasOfCell(c grid.Cell) []string {
-	st := r.state.Load()
-	return rendezvousRank(st.ids, c, st.m.ReplicaCount())
 }
 
 // PeerIDs returns the sorted ids of every shard in the map except self.
@@ -370,28 +320,27 @@ func busyStatus(code int) bool {
 }
 
 // Forward carries body to shardID's path (which may include a query string)
-// as a POST and returns the peer's response.  The request inherits ctx's
-// request id (X-Request-ID) so cross-shard traces stitch, and is marked with
-// HeaderForwarded so the peer serves it locally.  Transport errors and 5xx
-// statuses consume the bounded retry budget with exponential backoff; when it
-// is exhausted the peer is marked unhealthy and the error wraps
+// as a POST and returns the peer's response (see peerRequest for the headers
+// it carries).  A transport error or 5xx is retried once after RetryBackoff;
+// when the retry fails too the peer is marked down and the error wraps
 // ErrPeerUnavailable.  A 429/409 refusal is returned immediately (with the
-// response) wrapping ErrPeerBusy — never retried, and the peer stays healthy.
+// response) wrapping ErrPeerBusy — never retried, and the peer's readiness is
+// left to the probe.
 func (r *Router) Forward(ctx context.Context, shardID, path string, body []byte) (ForwardResult, error) {
-	return r.forward(ctx, shardID, path, body, r.opts.Retries, true, true)
+	return r.forward(ctx, shardID, path, body, forwardRetries, true)
 }
 
 // ForwardWrite carries a non-idempotent request (a train batch) to a peer in
-// exactly one attempt: no retry and no hedge, because a retry after a lost
-// response could apply the batch twice.  Error semantics match Forward,
-// except health gating: writes fail fast only on a probed-*dead* peer, not a
-// merely not-ready one — an untrained replica answers /readyz 503 yet must
-// still receive train fan-out, or it could never bootstrap.
+// exactly one attempt: no retry, because a retry after a lost response could
+// apply the batch twice.  Error semantics match Forward, except health
+// gating: writes fail fast only on a probed-*dead* peer, not a merely
+// not-ready one — an untrained replica answers /readyz 503 yet must still
+// receive train fan-out, or it could never bootstrap.
 func (r *Router) ForwardWrite(ctx context.Context, shardID, path string, body []byte) (ForwardResult, error) {
-	return r.forward(ctx, shardID, path, body, 0, false, false)
+	return r.forward(ctx, shardID, path, body, 0, false)
 }
 
-func (r *Router) forward(ctx context.Context, shardID, path string, body []byte, retries int, hedge, gateReady bool) (ForwardResult, error) {
+func (r *Router) forward(ctx context.Context, shardID, path string, body []byte, retries int, gateReady bool) (ForwardResult, error) {
 	st := r.state.Load()
 	p, ok := st.peers[shardID]
 	if !ok {
@@ -412,25 +361,25 @@ func (r *Router) forward(ctx context.Context, shardID, path string, body []byte,
 	r.forwards.Inc()
 
 	var lastErr error
-	backoff := r.opts.RetryBackoff
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			r.retries.Inc()
 			select {
-			case <-time.After(backoff):
+			case <-time.After(r.opts.RetryBackoff):
 			case <-ctx.Done():
 				return ForwardResult{}, ctx.Err()
 			}
-			backoff *= 2
 		}
-		res, err := r.attempt(ctx, p, path, body, hedge)
+		start := time.Now()
+		res, err := r.send(ctx, p, http.MethodPost, path, body)
+		r.peerHist(p.shard.ID).ObserveDuration(time.Since(start))
 		if err == nil {
 			if busyStatus(res.Status) {
-				// The peer answered; it is healthy, just refusing.  Hand the
-				// refusal (and its body) to the caller's ladder.
+				// The peer answered, so it is alive — but a refusal (409 not
+				// trained, 429 shedding) is no evidence of readiness: only
+				// /readyz decides that.  Hand the refusal (and its body) to
+				// the caller's ladder.
 				p.alive.Store(true)
-				p.healthy.Store(true)
-				p.fails.Store(0)
 				return res, fmt.Errorf("%w: %s answered %d", ErrPeerBusy, shardID, res.Status)
 			}
 			if !retryableStatus(res.Status) {
@@ -440,7 +389,6 @@ func (r *Router) forward(ctx context.Context, shardID, path string, body []byte,
 					// the peer accepted work, which /readyz will confirm.
 					p.healthy.Store(true)
 				}
-				p.fails.Store(0)
 				return res, nil
 			}
 			err = fmt.Errorf("cluster: peer %s answered %d", shardID, res.Status)
@@ -450,7 +398,6 @@ func (r *Router) forward(ctx context.Context, shardID, path string, body []byte,
 			return ForwardResult{}, ctx.Err()
 		}
 	}
-	p.fails.Add(1)
 	p.alive.Store(false)
 	p.healthy.Store(false)
 	r.forwardErrs.Inc()
@@ -503,21 +450,49 @@ func (r *Router) ForwardAny(ctx context.Context, group []string, path string, bo
 	return ForwardResult{}, "", lastErr
 }
 
-// Get issues one GET to a peer (no retry, no hedge) and returns the full
-// response.  The anti-entropy syncer uses it to read peer manifests and pull
-// model payloads; transport failures wrap ErrPeerUnavailable without marking
-// the peer unhealthy (the sweep is background work, not a serving signal).
+// Get issues one GET to a peer (no retry) and returns the full response.
+// The anti-entropy syncer uses it to read peer manifests and pull model
+// payloads, and trace stitching to read peer hops; transport failures wrap
+// ErrPeerUnavailable without marking the peer unhealthy (the sweep is
+// background work, not a serving signal).
 func (r *Router) Get(ctx context.Context, shardID, path string) (ForwardResult, error) {
 	st := r.state.Load()
 	p, ok := st.peers[shardID]
 	if !ok {
 		return ForwardResult{}, fmt.Errorf("%w: %q (map generation %d)", ErrUnknownShard, shardID, st.m.Generation)
 	}
+	res, err := r.send(ctx, p, http.MethodGet, path, nil)
+	if err != nil {
+		return ForwardResult{}, fmt.Errorf("%w: %s: %v", ErrPeerUnavailable, shardID, err)
+	}
+	return res, nil
+}
+
+// send issues one request to a peer under ForwardTimeout and reads the full
+// response.
+func (r *Router) send(ctx context.Context, p *peer, method, path string, body []byte) (ForwardResult, error) {
 	ctx, cancel := context.WithTimeout(ctx, r.opts.ForwardTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.shard.Addr+path, nil)
+	req, err := r.peerRequest(ctx, method, p, path, body)
 	if err != nil {
 		return ForwardResult{}, err
+	}
+	return r.do(req)
+}
+
+// peerRequest builds every request this node sends a peer — forwards, Gets
+// and health probes alike — carrying the hop's identity from ctx: the
+// forwarded mark (the peer serves it locally), the request ID and
+// traceparent (so logs and traces stitch across the hop), and the admission
+// baggage (client identity and priority, so the peer's admission controller
+// bills the true tenant — not this gateway — in the right lane).
+func (r *Router) peerRequest(ctx context.Context, method string, p *peer, path string, body []byte) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, p.shard.Addr+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	req.Header.Set(HeaderForwarded, r.opts.Self)
 	if id := obs.RequestIDFrom(ctx); id != "" {
@@ -526,105 +501,18 @@ func (r *Router) Get(ctx context.Context, shardID, path string) (ForwardResult, 
 	if tc, ok := obs.TraceFrom(ctx).Context(); ok {
 		req.Header.Set(obs.HeaderTraceparent, obs.FormatTraceparent(tc))
 	}
-	setAdmissionHeaders(req, ctx)
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return ForwardResult{}, fmt.Errorf("%w: %s: %v", ErrPeerUnavailable, shardID, err)
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return ForwardResult{}, fmt.Errorf("%w: %s: %v", ErrPeerUnavailable, shardID, err)
-	}
-	return ForwardResult{Status: resp.StatusCode, Body: buf}, nil
-}
-
-// attempt issues one forwarded request, hedged when configured: if the
-// primary has not answered within HedgeAfter, an identical secondary is
-// launched and whichever finishes first wins (the loser's context is
-// cancelled).  Latency is recorded per peer.
-func (r *Router) attempt(ctx context.Context, p *peer, path string, body []byte, hedge bool) (ForwardResult, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.opts.ForwardTimeout)
-	defer cancel()
-
-	if r.opts.HedgeAfter <= 0 || !hedge {
-		return r.send(ctx, p, path, body)
-	}
-
-	type outcome struct {
-		res ForwardResult
-		err error
-	}
-	results := make(chan outcome, 2)
-	launch := func() {
-		res, err := r.send(ctx, p, path, body)
-		results <- outcome{res, err}
-	}
-	go launch()
-	hedgeTimer := time.NewTimer(r.opts.HedgeAfter)
-	defer hedgeTimer.Stop()
-	launched := 1
-	var firstErr *outcome
-	for {
-		select {
-		case <-hedgeTimer.C:
-			if launched < 2 {
-				launched++
-				r.hedges.Inc()
-				go launch()
-			}
-		case o := <-results:
-			if o.err == nil {
-				return o.res, nil // winner; cancel releases the loser
-			}
-			if launched < 2 {
-				// Primary failed before the hedge fired: no point hedging a
-				// request the peer actively refused.
-				return o.res, o.err
-			}
-			if firstErr == nil {
-				firstErr = &o
-				continue // wait for the other attempt
-			}
-			return o.res, o.err
-		case <-ctx.Done():
-			return ForwardResult{}, ctx.Err()
-		}
-	}
-}
-
-// setAdmissionHeaders propagates the originating request's admission baggage
-// (client identity and priority) to a forwarded hop, so the receiving node's
-// adaptive admission controller bills the work to the true tenant — not to
-// the gateway peer — and applies the right priority lane before decoding the
-// body.
-func setAdmissionHeaders(req *http.Request, ctx context.Context) {
 	if id := obs.ClientIDFrom(ctx); id != "" {
 		req.Header.Set(obs.HeaderClient, id)
 	}
 	if pri := obs.PriorityLabelFrom(ctx); pri != "" {
 		req.Header.Set(obs.HeaderPriority, pri)
 	}
+	return req, nil
 }
 
-// send issues one HTTP request to a peer and reads the full response.
-func (r *Router) send(ctx context.Context, p *peer, path string, body []byte) (ForwardResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.shard.Addr+path, bytes.NewReader(body))
-	if err != nil {
-		return ForwardResult{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HeaderForwarded, r.opts.Self)
-	if id := obs.RequestIDFrom(ctx); id != "" {
-		req.Header.Set("X-Request-ID", id)
-	}
-	if tc, ok := obs.TraceFrom(ctx).Context(); ok {
-		req.Header.Set(obs.HeaderTraceparent, obs.FormatTraceparent(tc))
-	}
-	setAdmissionHeaders(req, ctx)
-	start := time.Now()
+// do performs one peer request and reads the full response.
+func (r *Router) do(req *http.Request) (ForwardResult, error) {
 	resp, err := r.client.Do(req)
-	r.peerHist(p.shard.ID).ObserveDuration(time.Since(start))
 	if err != nil {
 		return ForwardResult{}, err
 	}
@@ -684,9 +572,6 @@ func (r *Router) probeOnce(ctx context.Context) {
 			alive, ready := r.probePeer(ctx, p, timeout)
 			wasAlive := p.alive.Swap(alive)
 			wasReady := p.healthy.Swap(ready)
-			if !ready {
-				r.probeFails.Inc()
-			}
 			if wasAlive != alive || wasReady != ready {
 				r.opts.Logger.Info("peer health changed", "component", "cluster",
 					"peer", p.shard.ID, "alive", alive, "ready", ready)
@@ -702,17 +587,15 @@ func (r *Router) probeOnce(ctx context.Context) {
 func (r *Router) probePeer(ctx context.Context, p *peer, timeout time.Duration) (alive, ready bool) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.shard.Addr+"/readyz", nil)
+	req, err := r.peerRequest(ctx, http.MethodGet, p, "/readyz", nil)
 	if err != nil {
 		return false, false
 	}
-	resp, err := r.client.Do(req)
+	res, err := r.do(req)
 	if err != nil {
 		return false, false
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return true, resp.StatusCode == http.StatusOK
+	return true, res.Status == http.StatusOK
 }
 
 // PeerStatus is one peer's identity and health for /v1/stats.
@@ -734,7 +617,6 @@ type Stats struct {
 	Forwards       int64        `json:"forwarded_requests"`
 	ForwardErrors  int64        `json:"forward_errors"`
 	Retries        int64        `json:"forward_retries"`
-	Hedges         int64        `json:"hedged_requests"`
 	Failovers      int64        `json:"replica_failovers"`
 	Degraded       int64        `json:"degraded_requests"`
 	Unavailable    int64        `json:"unavailable_requests"`
@@ -756,7 +638,6 @@ func (r *Router) ClusterStats() Stats {
 		Forwards:       r.forwards.Value(),
 		ForwardErrors:  r.forwardErrs.Value(),
 		Retries:        r.retries.Value(),
-		Hedges:         r.hedges.Value(),
 		Failovers:      r.failovers.Value(),
 		Degraded:       r.degraded.Value(),
 		Unavailable:    r.unavailable.Value(),

@@ -3,9 +3,9 @@
 // paper's pyramid model repository (§4) already partitions the region so
 // that every imputation is served by the model of a small area; this package
 // lifts the same idea one level up — the region is carved into coarse hex
-// shard cells, each cell is deterministically owned by exactly one shard
-// process (rendezvous hashing), and a serving node forwards any request it
-// does not own to the owning peer.
+// shard cells, each cell is deterministically served by a replica group of
+// shard processes (rendezvous ranking), and a serving node forwards any
+// request outside its groups to the group's members.
 //
 // The package has two halves:
 //
@@ -16,10 +16,11 @@
 //     converge in at most one hop (forwarded requests are always served
 //     locally — see the serving layer's X-Kamel-Forwarded contract).
 //
-//   - Router evaluates the map (Owner) and carries requests to peers
-//     (Forward) with bounded retries, optional hedging for tail latency, and
-//     /readyz health probing.  The routing state is swapped atomically on
-//     Reload, so a shard-map rollout never drops in-flight requests.
+//   - Router evaluates the map (ReplicaGroup) and carries requests to peers
+//     (Forward, ForwardAny) with one bounded retry, failover down the replica
+//     group, and /readyz health probing.  The routing state is swapped
+//     atomically on Reload, so a shard-map rollout never drops in-flight
+//     requests.
 package cluster
 
 import (
@@ -216,33 +217,16 @@ func anchor(points []geo.Point) (geo.Point, bool) {
 	return geo.Point{Lat: (minLat + maxLat) / 2, Lng: (minLng + maxLng) / 2}, true
 }
 
-// rendezvousOwner picks the owning shard id for a cell: the shard whose
-// hash(shardID, cell) scores highest (highest-random-weight hashing).  The
-// decisive property over modulo hashing is minimal disruption — removing a
-// shard re-homes only that shard's cells, everything else keeps its owner —
-// which is what lets a shard-map rollout shift load without a global
-// reshuffle (and without invalidating every peer's warm model cache).
-func rendezvousOwner(ids []string, c grid.Cell) string {
-	var cellBytes [8]byte
-	binary.BigEndian.PutUint64(cellBytes[:], uint64(c))
-	best, bestScore := "", uint64(0)
-	for _, id := range ids {
-		// Ties break toward the lexicographically smaller id so the choice
-		// stays deterministic regardless of roster order.
-		score := rendezvousScore(id, cellBytes)
-		if best == "" || score > bestScore || (score == bestScore && id < best) {
-			best, bestScore = id, score
-		}
-	}
-	return best
-}
-
-// rendezvousRank returns the top-n shard ids for a cell in descending score
-// order: rank 0 is the owner rendezvousOwner picks, ranks 1..n-1 are its
-// replicas.  The minimal-disruption property extends element-wise: removing a
-// shard deletes it from every ranking it appears in and shifts the tail up
-// one, leaving all other relative orders untouched — so a node failure
-// promotes exactly the next-ranked replica per cell, nothing reshuffles.
+// rendezvousRank returns the top-n shard ids for a cell in descending
+// hash(shardID, cell) score (highest-random-weight hashing): rank 0 is the
+// primary, ranks 1..n-1 are its replicas, and n = 1 is the single owner.
+// Ties break toward the lexicographically smaller id, so the ranking is
+// independent of roster order.  The decisive property over modulo hashing is
+// minimal disruption, element-wise: removing a shard deletes it from every
+// ranking it appears in and shifts the tail up one, leaving all other
+// relative orders untouched — so a node failure promotes exactly the
+// next-ranked replica per cell, and a shard-map rollout shifts load without a
+// global reshuffle (or invalidating every peer's warm model cache).
 func rendezvousRank(ids []string, c grid.Cell, n int) []string {
 	if n < 1 {
 		n = 1

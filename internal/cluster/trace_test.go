@@ -105,7 +105,7 @@ func TestClusterFailoverTraceContinuity(t *testing.T) {
 		Shard{ID: "shard-0", Addr: "http://h:1"},
 		Shard{ID: "shard-1", Addr: busy.URL},
 		Shard{ID: "shard-2", Addr: ok.URL})
-	rt, err := New(m, Options{Self: "shard-0", Retries: 0, RetryBackoff: time.Millisecond, Logger: testLogger()})
+	rt, err := New(m, Options{Self: "shard-0", RetryBackoff: time.Millisecond, Logger: testLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}

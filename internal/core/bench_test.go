@@ -5,11 +5,8 @@ import (
 	"testing"
 
 	"kamel/internal/geo"
-	"kamel/internal/grid"
 	"kamel/internal/impute"
-	"kamel/internal/ngram"
 	"kamel/internal/roadnet"
-	"kamel/internal/store"
 	"kamel/internal/trajgen"
 )
 
@@ -86,7 +83,7 @@ func BenchmarkImpute(b *testing.B) {
 }
 
 // BenchmarkPredictorBERT measures beam imputation driven by the trained
-// transformer — half of the BERT-vs-n-gram ablation in DESIGN.md.
+// transformer, called directly rather than through ImputeContext.
 func BenchmarkPredictorBERT(b *testing.B) {
 	sys, tests := benchFixture(b)
 	reqs := gapRequests(sys, tests[:4], 800)
@@ -99,32 +96,6 @@ func BenchmarkPredictorBERT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, req := range reqs {
 			if _, err := impute.Beam(context.Background(), p, cfg, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkPredictorNGram measures the same gaps driven by the count-based
-// bidirectional n-gram model.
-func BenchmarkPredictorNGram(b *testing.B) {
-	sys, tests := benchFixture(b)
-	m := ngram.New()
-	var seqs [][]grid.Cell
-	sys.st.All(func(tr store.Traj) bool {
-		seqs = append(seqs, sequenceOf(tr))
-		return true
-	})
-	m.Train(seqs)
-	reqs := gapRequests(sys, tests[:4], 800)
-	cfg := impute.Config{
-		Tokenizer: sys.tok, Checker: sys.checker,
-		MaxGapMeters: sys.cfg.MaxGapM, MaxCalls: 200, TopK: 40, Beam: 4, Alpha: 1,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, req := range reqs {
-			if _, err := impute.Beam(context.Background(), impute.PredictFunc(m.Predict), cfg, req); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -44,8 +44,8 @@ type Predictor interface {
 	Predict(ctx context.Context, queries []Query) ([][]Candidate, error)
 }
 
-// PredictFunc adapts a per-query prediction function (an n-gram model, a
-// synthetic test predictor) to Predictor by answering the queries in a loop.
+// PredictFunc adapts a per-query prediction function (a synthetic test
+// predictor) to Predictor by answering the queries in a loop.
 type PredictFunc func(segment []grid.Cell, gapPos, topK int) ([]Candidate, error)
 
 // Predict implements Predictor.

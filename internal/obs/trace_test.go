@@ -263,78 +263,6 @@ func TestObserveSpanExemplarThroughContext(t *testing.T) {
 	}
 }
 
-func TestWriteFederated(t *testing.T) {
-	nodeA := `# HELP kamel_requests_total Requests served.
-# TYPE kamel_requests_total counter
-kamel_requests_total{route="/v1/impute"} 10
-# HELP kamel_latency_seconds Latency.
-# TYPE kamel_latency_seconds histogram
-kamel_latency_seconds_bucket{le="0.1"} 4
-kamel_latency_seconds_bucket{le="+Inf"} 10
-kamel_latency_seconds_sum 0.9
-kamel_latency_seconds_count 10
-# exemplar kamel_latency_seconds_bucket{le="0.1"} trace_id=abc value=0.05 ts=1
-kamel_up 1
-`
-	nodeB := `# HELP kamel_requests_total DIFFERENT help that must lose.
-# TYPE kamel_requests_total counter
-kamel_requests_total{route="/v1/impute"} 7
-kamel_requests_total{} 3
-`
-	var b strings.Builder
-	err := WriteFederated(&b, []FederatedSource{
-		{Node: "shard-0", Text: []byte(nodeA), Up: true},
-		{Node: "shard-1", Text: []byte(nodeB), Up: true},
-		{Node: "shard-2", Up: false},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-
-	for _, want := range []string{
-		// Node label injected into labeled, empty-braced, and label-less lines.
-		`kamel_requests_total{node="shard-0",route="/v1/impute"} 10`,
-		`kamel_requests_total{node="shard-1",route="/v1/impute"} 7`,
-		`kamel_requests_total{node="shard-1"} 3`,
-		`kamel_up{node="shard-0"} 1`,
-		// Histogram sub-series stay under the base family.
-		`kamel_latency_seconds_bucket{node="shard-0",le="0.1"} 4`,
-		`kamel_latency_seconds_sum{node="shard-0"} 0.9`,
-		`kamel_latency_seconds_count{node="shard-0"} 10`,
-		// Per-node reachability series, including the down peer.
-		`kamel_federation_up{node="shard-0"} 1`,
-		`kamel_federation_up{node="shard-1"} 1`,
-		`kamel_federation_up{node="shard-2"} 0`,
-		// First HELP wins.
-		"# HELP kamel_requests_total Requests served.",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("federated output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "DIFFERENT help") {
-		t.Error("second node's HELP overrode the first")
-	}
-	if strings.Contains(out, "# exemplar") {
-		t.Error("exemplar comments leaked into federated output")
-	}
-	if strings.Count(out, "# TYPE kamel_requests_total counter") != 1 {
-		t.Error("family headers duplicated across nodes")
-	}
-
-	// Families group: every kamel_requests_total sample sits under one header.
-	idx := strings.Index(out, "# TYPE kamel_requests_total counter")
-	next := strings.Index(out[idx:], "# HELP kamel_latency_seconds")
-	section := out[idx:]
-	if next >= 0 {
-		section = out[idx : idx+next]
-	}
-	if strings.Count(section, "kamel_requests_total{") != 3 {
-		t.Errorf("expected all 3 kamel_requests_total samples grouped under the family header:\n%s", out)
-	}
-}
-
 func TestSLOMonitorBurnAndTrigger(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
