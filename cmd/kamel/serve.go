@@ -671,7 +671,6 @@ func runServe(args []string) error {
 	logLevel := fs.String("log-level", "info", "minimum structured-log level: debug, info, warn, error")
 	cacheBytes := fs.Int64("model-cache-bytes", 0, "model cache budget in bytes (0 sizes from available memory, <0 unbounded)")
 	batchMaxSize := fs.Int("batch-max-size", 0, "admission batching: queries per coalesced BERT pass (0 uses the default)")
-	batchMaxWait := fs.Duration("batch-max-wait", 0, "admission batching: coalescing window under concurrency (0 uses the default, <0 disables windowing)")
 	batchMaxQueue := fs.Int("batch-max-queue", 0, "admission batching: queued queries per model before shedding with 429 (0 uses the default, <0 unbounded)")
 	batchMaxStarve := fs.Duration("batch-max-starve", 0, "admission batching: bulk-lane wait beyond which dispatches reserve slots for bulk (0 uses the default, <0 strict priority)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
@@ -711,7 +710,6 @@ func runServe(args []string) error {
 	cfg.ModelCacheBytes = *cacheBytes
 	cfg.ShardID = *clusterSelf
 	cfg.BatchMaxSize = *batchMaxSize
-	cfg.BatchMaxWait = *batchMaxWait
 	cfg.BatchMaxQueue = *batchMaxQueue
 	cfg.BatchMaxStarve = *batchMaxStarve
 	cfg.RebuildWorkers = *rebuildWorkers

@@ -351,7 +351,7 @@ func TestAdmissionActiveClientDecay(t *testing.T) {
 // The batcher's queue-wait observer hook must deliver each dispatched item's
 // wait to the registered callback.
 func TestBatcherQueueWaitObserver(t *testing.T) {
-	b := New(Options{MaxWait: -1})
+	b := New(Options{})
 	defer b.Close()
 	waits := make(chan time.Duration, 16)
 	b.SetQueueWaitObserver(func(d time.Duration) { waits <- d })

@@ -5,23 +5,17 @@
 //
 // Requests do not call the engine; they Submit work items — (engine,
 // sequence, mask) triples rendered as bert.MaskQuery — and receive a Future.
-// A per-model dispatcher coalesces every in-flight item for that model into
-// one PredictMaskedBatch call, bounded by MaxBatch items and a MaxWait
-// coalescing window.  Because the engine's batched pass is element-wise
-// equal to per-query calls whatever the batch composition, admission
-// batching changes throughput, never results.
+// A per-model dispatcher coalesces every queued item for that model into
+// one PredictMaskedBatch call of at most MaxBatch items.  Because the
+// engine's batched pass is element-wise equal to per-query calls whatever
+// the batch composition, admission batching changes throughput, never
+// results.
 //
-// Two batching regimes compose:
-//
-//   - Natural batching: while the engine is busy with one batch, newly
-//     submitted items queue; the dispatcher grabs everything pending the
-//     moment the call returns.  This costs zero added latency and is always
-//     on.
-//   - Windowed batching: when more than one imputation stream is active
-//     (StreamEnter/StreamExit), the dispatcher additionally waits up to
-//     MaxWait for concurrent streams to contribute before firing a partial
-//     batch.  A single-stream process never waits, so unloaded latency is
-//     unchanged.
+// Batching is natural only: a dispatcher with queued work calls the engine
+// at once, and items submitted while that call is in flight queue for the
+// next one, which takes everything pending the moment the call returns.  No
+// item ever waits for company, so an idle engine adds no latency and a busy
+// one batches exactly as deeply as the load requires.
 //
 // Dispatchers are ephemeral: one goroutine starts when the first item for a
 // model arrives and exits as soon as its queue drains, so model-cache
@@ -98,11 +92,6 @@ type Options struct {
 	// MaxBatch bounds the queries coalesced into one engine call
 	// (default 64).
 	MaxBatch int
-	// MaxWait is the coalescing window: how long a dispatcher holds a
-	// partial batch for other active streams to contribute (default 2ms;
-	// negative disables windowing, leaving natural batching only).  The
-	// window is only ever applied while more than one stream is active.
-	MaxWait time.Duration
 	// MaxQueue bounds queued queries per model; submissions that would
 	// overflow it fail with ErrQueueFull (default 1024; negative disables).
 	MaxQueue int
@@ -122,12 +111,6 @@ type Options struct {
 func (o *Options) normalize() {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
-	}
-	if o.MaxWait == 0 {
-		o.MaxWait = 2 * time.Millisecond
-	}
-	if o.MaxWait < 0 {
-		o.MaxWait = 0
 	}
 	if o.MaxQueue == 0 {
 		o.MaxQueue = 1024
@@ -163,7 +146,6 @@ type dispatcher struct {
 	eng   Engine
 	lanes [numLanes][]*item
 	depth int
-	wake  chan struct{} // buffered(1): queue grew, or Close emptied it
 }
 
 // Batcher coalesces masked-prediction submissions into per-model engine
@@ -175,8 +157,6 @@ type Batcher struct {
 	disp   map[Engine]*dispatcher
 	closed bool
 	wg     sync.WaitGroup // running dispatcher goroutines
-
-	streams atomic.Int64 // active imputation streams (windowing gate)
 
 	// waitObs, when set, receives every item's queue wait as it dispatches —
 	// the adaptive admission controller's congestion signal (see admission.go).
@@ -231,10 +211,6 @@ func New(opts Options) *Batcher {
 			defer b.mu.Unlock()
 			return float64(len(b.disp))
 		})
-	reg.GaugeFunc("kamel_batcher_streams",
-		"Imputation streams currently active (windowing gate).", func() float64 {
-			return float64(b.streams.Load())
-		})
 	return b
 }
 
@@ -249,14 +225,6 @@ func (b *Batcher) SetQueueWaitObserver(fn func(time.Duration)) {
 	}
 	b.waitObs.Store(&fn)
 }
-
-// StreamEnter marks one imputation stream active.  While more than one
-// stream is active, dispatchers apply the MaxWait coalescing window; a
-// single stream always dispatches immediately.
-func (b *Batcher) StreamEnter() { b.streams.Add(1) }
-
-// StreamExit undoes StreamEnter.
-func (b *Batcher) StreamExit() { b.streams.Add(-1) }
 
 // Future is the pending result of one Submit call.  Exactly one of the
 // results/err pair is meaningful once Wait returns.
@@ -340,7 +308,7 @@ func (b *Batcher) Submit(ctx context.Context, eng Engine, queries []bert.MaskQue
 	}
 	d := b.disp[eng]
 	if d == nil {
-		d = &dispatcher{eng: eng, wake: make(chan struct{}, 1)}
+		d = &dispatcher{eng: eng}
 		b.disp[eng] = d
 		b.wg.Add(1)
 		go b.run(d)
@@ -357,11 +325,6 @@ func (b *Batcher) Submit(ctx context.Context, eng Engine, queries []bert.MaskQue
 	}
 	d.depth += len(queries)
 	b.mu.Unlock()
-
-	select {
-	case d.wake <- struct{}{}:
-	default:
-	}
 	return fut, nil
 }
 
@@ -371,10 +334,16 @@ func (b *Batcher) Submit(ctx context.Context, eng Engine, queries []bert.MaskQue
 // bulk item has waited past MaxStarve a quarter of the batch (at least one
 // slot) is reserved for the bulk lane, so sustained interactive traffic
 // drains bulk at a bounded fraction of throughput instead of starving it.
-// It returns the live batch.
-func (b *Batcher) take(d *dispatcher) []*item {
+// It returns the live batch, or ok=false once the queue is empty, having
+// removed the dispatcher so the next submission starts a fresh one.
+func (b *Batcher) take(d *dispatcher) (batch []*item, ok bool) {
 	b.mu.Lock()
-	batch := make([]*item, 0, min(d.depth, b.opts.MaxBatch))
+	if d.depth == 0 || b.closed {
+		delete(b.disp, d.eng)
+		b.mu.Unlock()
+		return nil, false
+	}
+	batch = make([]*item, 0, min(d.depth, b.opts.MaxBatch))
 	var dead []*item
 	drain := func(lane Priority, want int) {
 		q := d.lanes[lane]
@@ -406,44 +375,17 @@ func (b *Batcher) take(d *dispatcher) []*item {
 		b.cancelled.Inc()
 		it.fut.fail(it.idx, it.ctx.Err())
 	}
-	return batch
+	return batch, true
 }
 
 // run drains one model's queue and exits when it is empty.
 func (b *Batcher) run(d *dispatcher) {
 	defer b.wg.Done()
 	for {
-		b.mu.Lock()
-		if d.depth == 0 || b.closed {
-			delete(b.disp, d.eng)
-			b.mu.Unlock()
+		batch, ok := b.take(d)
+		if !ok {
 			return
 		}
-		full := d.depth >= b.opts.MaxBatch
-		b.mu.Unlock()
-
-		// Coalescing window: hold a partial batch only while other streams
-		// are active and might still contribute; a lone stream never waits.
-		if !full && b.opts.MaxWait > 0 && b.streams.Load() > 1 {
-			timer := time.NewTimer(b.opts.MaxWait)
-		window:
-			for {
-				select {
-				case <-timer.C:
-					break window
-				case <-d.wake:
-					b.mu.Lock()
-					full = d.depth >= b.opts.MaxBatch || b.closed
-					b.mu.Unlock()
-					if full {
-						break window
-					}
-				}
-			}
-			timer.Stop()
-		}
-
-		batch := b.take(d)
 		if len(batch) == 0 {
 			continue
 		}
@@ -497,10 +439,6 @@ func (b *Batcher) Close() {
 			d.lanes[lane] = nil
 		}
 		d.depth = 0
-		select {
-		case d.wake <- struct{}{}:
-		default:
-		}
 	}
 	b.mu.Unlock()
 	for _, it := range drops {
@@ -519,7 +457,6 @@ type Stats struct {
 	Cancelled      int64   `json:"cancelled"`
 	QueueDepth     int     `json:"queue_depth"`
 	Dispatchers    int     `json:"dispatchers"`
-	ActiveStreams  int64   `json:"active_streams"`
 	QueueWaitP50MS float64 `json:"queue_wait_p50_ms"`
 	QueueWaitP99MS float64 `json:"queue_wait_p99_ms"`
 }
@@ -527,11 +464,10 @@ type Stats struct {
 // Stats reads the current counters and queue-wait quantiles.
 func (b *Batcher) Stats() Stats {
 	st := Stats{
-		Batches:       b.batches.Value(),
-		Items:         b.items.Value(),
-		Overflows:     b.overflows.Value(),
-		Cancelled:     b.cancelled.Value(),
-		ActiveStreams: b.streams.Load(),
+		Batches:   b.batches.Value(),
+		Items:     b.items.Value(),
+		Overflows: b.overflows.Value(),
+		Cancelled: b.cancelled.Value(),
 	}
 	if st.Batches > 0 {
 		st.AvgBatch = float64(st.Items) / float64(st.Batches)

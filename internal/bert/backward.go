@@ -79,7 +79,7 @@ func (m *Model) lossAndBackward(c *cache, positions, targets []int, gm []*tensor
 
 	// Head transform backward: t = x·HeadW + HeadB.
 	dx := tensor.NewMat(mrows, d)
-	tensor.MatMulBT(dx, dt, m.HeadW)
+	tensor.MatMulTN(dx, dt, m.HeadW, nil)
 	addMatMulAT(g.of(m.HeadW), hx, dt)
 	addColSum(g.of(m.HeadB), dt)
 
@@ -133,7 +133,7 @@ func (m *Model) blockBackward(b *Block, bc *blockCache, dOut *tensor.Mat, g *gra
 	// FFN residual: out = xMid + (gelu(LN2(xMid)·W1+B1)·W2+B2).
 	dF := dOut // gradient of the FFN branch output
 	dH := tensor.NewMat(n, f)
-	tensor.MatMulBT(dH, dF, b.W2)
+	tensor.MatMulTN(dH, dF, b.W2, nil)
 	addMatMulAT(g.of(b.W2), bc.h, dF)
 	addColSum(g.of(b.B2), dF)
 
@@ -141,7 +141,7 @@ func (m *Model) blockBackward(b *Block, bc *blockCache, dOut *tensor.Mat, g *gra
 	tensor.GELUBackward(dPre.A, dH.A, bc.pre.A)
 
 	dXn2 := tensor.NewMat(n, d)
-	tensor.MatMulBT(dXn2, dPre, b.W1)
+	tensor.MatMulTN(dXn2, dPre, b.W1, nil)
 	addMatMulAT(g.of(b.W1), bc.xn2, dPre)
 	addColSum(g.of(b.B1), dPre)
 
@@ -152,7 +152,7 @@ func (m *Model) blockBackward(b *Block, bc *blockCache, dOut *tensor.Mat, g *gra
 	// Attention residual: xMid = xIn + (att·Wo + Bo).
 	dA := dXMid
 	dAtt := tensor.NewMat(n, d)
-	tensor.MatMulBT(dAtt, dA, b.Wo)
+	tensor.MatMulTN(dAtt, dA, b.Wo, nil)
 	addMatMulAT(g.of(b.Wo), bc.att, dA)
 	addColSum(g.of(b.Bo), dA)
 
@@ -176,7 +176,7 @@ func (m *Model) blockBackward(b *Block, bc *blockCache, dOut *tensor.Mat, g *gra
 		p := bc.probs[h]
 
 		// dP = dOh·Vhᵀ ; dVh = Pᵀ·dOh.
-		tensor.MatMulBT(dP, dOh, vh)
+		tensor.MatMulTN(dP, dOh, vh, nil)
 		tensor.MatMulAT(dVh, p, dOh)
 
 		// Softmax backward: dS = P ⊙ (dP − rowsum(dP⊙P)).
@@ -206,10 +206,10 @@ func (m *Model) blockBackward(b *Block, bc *blockCache, dOut *tensor.Mat, g *gra
 	// Projections: q = xn1·Wq + Bq, etc.
 	dXn1 := tensor.NewMat(n, d)
 	tmp := tensor.NewMat(n, d)
-	tensor.MatMulBT(dXn1, dQ, b.Wq)
-	tensor.MatMulBT(tmp, dK, b.Wk)
+	tensor.MatMulTN(dXn1, dQ, b.Wq, nil)
+	tensor.MatMulTN(tmp, dK, b.Wk, nil)
 	dXn1.Add(tmp)
-	tensor.MatMulBT(tmp, dV, b.Wv)
+	tensor.MatMulTN(tmp, dV, b.Wv, nil)
 	dXn1.Add(tmp)
 	addMatMulAT(g.of(b.Wq), bc.xn1, dQ)
 	addMatMulAT(g.of(b.Wk), bc.xn1, dK)

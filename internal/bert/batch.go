@@ -15,7 +15,9 @@ import (
 // matmul runs once per layer instead of B times, on the transposed-weight
 // register-tiled kernels of tensor.MatMulTN.  Attention remains per-sequence
 // (a sequence must not attend across batch neighbors), computed over aliased
-// row views of the stacked matrix.
+// row views of the stacked matrix.  The MLM head reads only mask rows, so the
+// last block computes keys and values for every row but everything else for
+// one row per sequence.
 //
 // The engine is inference-only: it allocates no backward caches, reuses its
 // activation buffers across layers, and is bit-compatible with the training
@@ -108,14 +110,14 @@ func (m *Model) PredictMaskedBatch(queries []MaskQuery) ([][]Candidate, error) {
 		groups[n] = append(groups[n], qi)
 	}
 
-	// Encode each group and gather the masked-position encodings; the MLM
-	// head then runs once over every query's mask row regardless of group.
+	// Encode each group down to its mask rows; the MLM head then runs once
+	// over every query's mask row regardless of group.
 	hx := tensor.NewMat(len(queries), d)
 	for _, n := range lengths {
 		idxs := groups[n]
 		enc := m.encodeStack(tw, queries, idxs, n)
 		for bi, qi := range idxs {
-			copy(hx.Row(qi), enc.Row(bi*n+queries[qi].MaskPos))
+			copy(hx.Row(qi), enc.Row(bi))
 		}
 	}
 
@@ -124,14 +126,11 @@ func (m *Model) PredictMaskedBatch(queries []MaskQuery) ([][]Candidate, error) {
 	tensor.GELU(th.A, th.A)
 	tensor.LayerNormInfer(th, th, m.HeadLNg.A, m.HeadLNb.A, lnEps)
 	logits := tensor.NewMat(len(queries), m.Cfg.VocabSize)
-	tensor.MatMulBT(logits, th, m.TokEmb)
+	tensor.MatMulTN(logits, th, m.TokEmb, m.OutBias.A)
 
 	out := make([][]Candidate, len(queries))
 	for qi, q := range queries {
 		row := logits.Row(qi)
-		for j, bv := range m.OutBias.A {
-			row[j] += bv
-		}
 		tensor.SoftmaxInPlace(row)
 		out[qi] = topKCandidates(row, q.TopK)
 	}
@@ -140,14 +139,13 @@ func (m *Model) PredictMaskedBatch(queries []MaskQuery) ([][]Candidate, error) {
 
 // encodeStack runs the encoder over the queries selected by idxs (all of
 // sequence length n) stacked into one [len(idxs)×n, d] activation matrix,
-// and returns the final layer-norm output.  Buffers are reused across blocks
-// so the pass allocates O(batch) matrices rather than O(batch × layers).
+// and returns the final layer-norm output of each query's mask row,
+// [len(idxs)×d] in idxs order.  Buffers are reused across blocks so the pass
+// allocates O(batch) matrices rather than O(batch × layers).
 func (m *Model) encodeStack(tw *inferT, queries []MaskQuery, idxs []int, n int) *tensor.Mat {
 	B := len(idxs)
 	N := B * n
-	d, f, heads := m.Cfg.Hidden, m.Cfg.FFN, m.Cfg.Heads
-	dh := d / heads
-	scale := float32(1 / math.Sqrt(float64(dh)))
+	d, f := m.Cfg.Hidden, m.Cfg.FFN
 
 	// Embeddings: token + position, layer-normed in place.
 	x := tensor.NewMat(N, d)
@@ -171,54 +169,91 @@ func (m *Model) encodeStack(tw *inferT, queries []MaskQuery, idxs []int, n int) 
 	att := tensor.NewMat(N, d)
 	pre := tensor.NewMat(N, f)
 
-	for li, b := range m.Blocks {
+	last := len(m.Blocks) - 1
+	for li, b := range m.Blocks[:last] {
 		bt := tw.blocks[li]
 		tensor.LayerNormInfer(xn, x, b.LN1g.A, b.LN1b.A, lnEps)
 		tensor.MatMulTN(q, xn, bt.wq, b.Bq.A)
 		tensor.MatMulTN(k, xn, bt.wk, b.Bk.A)
 		tensor.MatMulTN(v, xn, bt.wv, b.Bv.A)
-
-		// Attention stays per sequence: row views slice the stacked matrix
-		// so no sequence attends across a batch neighbor.  Sequences are
-		// independent, so large admission batches fan out across the tensor
-		// worker pool, each chunk on its own head-sized scratch — results are
-		// element-wise identical to the serial loop.
-		tensor.ParallelRows(B, 2*n*n*d, func(blo, bhi int) {
-			qh := tensor.NewMat(n, dh)
-			kh := tensor.NewMat(n, dh)
-			vh := tensor.NewMat(n, dh)
-			oh := tensor.NewMat(n, dh)
-			p := tensor.NewMat(n, n)
-			for bi := blo; bi < bhi; bi++ {
-				qs := q.RowsView(bi*n, (bi+1)*n)
-				ks := k.RowsView(bi*n, (bi+1)*n)
-				vs := v.RowsView(bi*n, (bi+1)*n)
-				as := att.RowsView(bi*n, (bi+1)*n)
-				for h := 0; h < heads; h++ {
-					copyHead(qh, qs, h, dh)
-					copyHead(kh, ks, h, dh)
-					copyHead(vh, vs, h, dh)
-					tensor.MatMulBT(p, qh, kh)
-					p.Scale(scale)
-					tensor.SoftmaxRows(p)
-					tensor.MatMul(oh, p, vh)
-					pasteHead(as, oh, h, dh)
-				}
-			}
-		})
-
-		tensor.MatMulTN(tmp, att, bt.wo, b.Bo.A)
-		for i := range x.A {
-			x.A[i] += tmp.A[i]
-		}
-		tensor.LayerNormInfer(xn, x, b.LN2g.A, b.LN2b.A, lnEps)
-		tensor.MatMulTN(pre, xn, bt.w1, b.B1.A)
-		tensor.GELU(pre.A, pre.A)
-		tensor.MatMulTN(tmp, pre, bt.w2, b.B2.A)
-		for i := range x.A {
-			x.A[i] += tmp.A[i]
-		}
+		m.attend(att, q, k, v, n)
+		m.blockTail(b, bt, x, att, xn, tmp, pre)
 	}
-	tensor.LayerNormInfer(x, x, m.FinLNg.A, m.FinLNb.A, lnEps)
-	return x
+
+	// Last block, pruned to the mask rows: every row's keys and values, but
+	// one query row per sequence from Q onwards.  Each kept row is the same
+	// computation as in the full block, so results do not change.  The
+	// B-row operands live in the leading rows of the N-row buffers; gathering
+	// x in place is safe because row bi's source, bi·n+MaskPos, is never
+	// before row bi, and later sources lie beyond it.
+	b, bt := m.Blocks[last], tw.blocks[last]
+	tensor.LayerNormInfer(xn, x, b.LN1g.A, b.LN1b.A, lnEps)
+	tensor.MatMulTN(k, xn, bt.wk, b.Bk.A)
+	tensor.MatMulTN(v, xn, bt.wv, b.Bv.A)
+	xm, xnm := x.RowsView(0, B), tmp.RowsView(0, B)
+	for bi, qi := range idxs {
+		r := bi*n + queries[qi].MaskPos
+		copy(xnm.Row(bi), xn.Row(r))
+		copy(xm.Row(bi), x.Row(r))
+	}
+	qm, attm := q.RowsView(0, B), att.RowsView(0, B)
+	tensor.MatMulTN(qm, xnm, bt.wq, b.Bq.A)
+	m.attend(attm, qm, k, v, n)
+	m.blockTail(b, bt, xm, attm, xn.RowsView(0, B), tmp.RowsView(0, B), pre.RowsView(0, B))
+	tensor.LayerNormInfer(xm, xm, m.FinLNg.A, m.FinLNb.A, lnEps)
+	return xm
+}
+
+// attend runs multi-head attention per sequence: sequence bi's query rows
+// (q.R/B of them, B = k.R/n) attend over its n key and value rows and write
+// the matching rows of att.  Row views keep any sequence from attending
+// across a batch neighbor.  Sequences are independent, so large admission
+// batches fan out across the tensor worker pool, each chunk on its own
+// head-sized scratch — results are element-wise identical to the serial loop.
+func (m *Model) attend(att, q, k, v *tensor.Mat, n int) {
+	B := k.R / n
+	qn := q.R / B
+	d, heads := m.Cfg.Hidden, m.Cfg.Heads
+	dh := d / heads
+	scale := float32(1 / math.Sqrt(float64(dh)))
+	tensor.ParallelRows(B, 2*qn*n*d, func(blo, bhi int) {
+		qh := tensor.NewMat(qn, dh)
+		kh := tensor.NewMat(n, dh)
+		vh := tensor.NewMat(n, dh)
+		oh := tensor.NewMat(qn, dh)
+		p := tensor.NewMat(qn, n)
+		for bi := blo; bi < bhi; bi++ {
+			qs := q.RowsView(bi*qn, (bi+1)*qn)
+			ks := k.RowsView(bi*n, (bi+1)*n)
+			vs := v.RowsView(bi*n, (bi+1)*n)
+			as := att.RowsView(bi*qn, (bi+1)*qn)
+			for h := 0; h < heads; h++ {
+				copyHead(qh, qs, h, dh)
+				copyHead(kh, ks, h, dh)
+				copyHead(vh, vs, h, dh)
+				tensor.MatMulTN(p, qh, kh, nil)
+				p.Scale(scale)
+				tensor.SoftmaxRows(p)
+				tensor.MatMul(oh, p, vh)
+				pasteHead(as, oh, h, dh)
+			}
+		}
+	})
+}
+
+// blockTail finishes block b on the rows of x given their attention output:
+// the Wo projection and residual, then LN2, the FFN and its residual, in
+// place on x.  xn, tmp and pre are scratch with x's row count.
+func (m *Model) blockTail(b *Block, bt *blockT, x, att, xn, tmp, pre *tensor.Mat) {
+	tensor.MatMulTN(tmp, att, bt.wo, b.Bo.A)
+	for i := range x.A {
+		x.A[i] += tmp.A[i]
+	}
+	tensor.LayerNormInfer(xn, x, b.LN2g.A, b.LN2b.A, lnEps)
+	tensor.MatMulTN(pre, xn, bt.w1, b.B1.A)
+	tensor.GELU(pre.A, pre.A)
+	tensor.MatMulTN(tmp, pre, bt.w2, b.B2.A)
+	for i := range x.A {
+		x.A[i] += tmp.A[i]
+	}
 }

@@ -1,9 +1,11 @@
 package bert
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"kamel/internal/tensor"
 	"kamel/internal/vocab"
 )
 
@@ -58,6 +60,44 @@ func TestPredictMaskedBatchMatches(t *testing.T) {
 
 	// A single-query batch must match too (the n=1 kernel remainder path).
 	assertBatchMatchesSequential(t, m, batchTestQueries()[:1])
+}
+
+// TestPredictMaskedBatchServedSizeParity runs the exactness contract at the
+// served model size (d=64, FFN 256, 2000 tokens) with a 64-query batch of
+// lengths 8–20, masked at the first, middle and last body positions.  Half
+// the batch shares length 20, so that group's stacked matmuls, attention and
+// the pruned last block's FFN cross the tensor package's parallel threshold
+// and fan out over the worker pool; the other lengths stay small and serial.
+// Layers=1 makes the pruned block the only one.
+func TestPredictMaskedBatchServedSizeParity(t *testing.T) {
+	for _, layers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("layers=%d", layers), func(t *testing.T) {
+			cfg := DefaultConfig(2000)
+			cfg.Layers = layers
+			cfg.MaxSeqLen = 20
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := tensor.NewRNG(11)
+			queries := make([]MaskQuery, 64)
+			for qi := range queries {
+				n := 20
+				if qi >= 32 {
+					n = 8 + qi%12 // 8..19
+				}
+				toks := make([]int, n)
+				toks[0], toks[n-1] = vocab.CLS, vocab.SEP
+				for i := 1; i < n-1; i++ {
+					toks[i] = vocab.NumSpecial + rng.Intn(cfg.VocabSize-vocab.NumSpecial)
+				}
+				mask := []int{1, n / 2, n - 2}[qi%3]
+				toks[mask] = vocab.MASK
+				queries[qi] = MaskQuery{Tokens: toks, MaskPos: mask, TopK: 0}
+			}
+			assertBatchMatchesSequential(t, m, queries)
+		})
+	}
 }
 
 // TestPredictMaskedBatchAfterTrain retrains the model between batched calls;

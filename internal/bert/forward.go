@@ -101,7 +101,7 @@ func (m *Model) blockForward(b *Block, x *tensor.Mat) *blockCache {
 		copyHead(kh, bc.k, h, dh)
 		copyHead(vh, bc.v, h, dh)
 		p := tensor.NewMat(n, n)
-		tensor.MatMulBT(p, qh, kh)
+		tensor.MatMulTN(p, qh, kh, nil)
 		p.Scale(scale)
 		tensor.SoftmaxRows(p)
 		bc.probs[h] = p
@@ -176,12 +176,6 @@ func (m *Model) headForward(c *cache, positions []int) (logits, x, t, g, ghat, h
 	hn = tensor.NewMat(mrows, d)
 	tensor.LayerNormForward(hn, ghat, g, m.HeadLNg.A, m.HeadLNb.A, lnEps)
 	logits = tensor.NewMat(mrows, v)
-	tensor.MatMulBT(logits, hn, m.TokEmb)
-	for i := 0; i < mrows; i++ {
-		row := logits.Row(i)
-		for j, bv := range m.OutBias.A {
-			row[j] += bv
-		}
-	}
+	tensor.MatMulTN(logits, hn, m.TokEmb, m.OutBias.A)
 	return logits, x, t, g, ghat, hn
 }

@@ -118,11 +118,7 @@ func TestConcurrentImputeThroughBatcher(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	f := newFixture(t, func(c *Config) {
-		// A short window forces real windowed coalescing under test
-		// concurrency without slowing the single-stream reference runs.
-		c.BatchMaxWait = 500 * time.Microsecond
-	})
+	f := newFixture(t, nil)
 	sys := trainedSystem(t, f)
 
 	inputs := make([]geo.Trajectory, 4)
@@ -214,9 +210,7 @@ func TestCloseDrainsBatcher(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	f := newFixture(t, func(c *Config) {
-		c.BatchMaxWait = 2 * time.Millisecond
-	})
+	f := newFixture(t, nil)
 	sys := trainedSystem(t, f)
 	sp := f.test[0].Sparsify(800)
 

@@ -104,9 +104,10 @@ type Config struct {
 
 	// Admission batching (internal/batcher): concurrent requests' BERT
 	// predictions for the same model are coalesced into shared engine
-	// passes.  Zero values take the batcher's defaults.
+	// passes.  Batching is natural only — a pass starts as soon as the
+	// engine is free and takes whatever queued meanwhile — so there is no
+	// window to tune.  Zero values take the batcher's defaults.
 	BatchMaxSize   int           // queries per coalesced engine call (default 64)
-	BatchMaxWait   time.Duration // coalescing window under concurrency (default 2ms; negative disables windowing)
 	BatchMaxQueue  int           // queued queries per model before shedding with ErrOverloaded (default 1024; negative unbounded)
 	BatchMaxStarve time.Duration // bulk-lane aging bound: wait beyond which dispatches reserve slots for bulk (default 100ms; negative disables)
 

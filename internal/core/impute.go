@@ -79,13 +79,6 @@ func (s *System) ImputeContext(ctx context.Context, tr geo.Trajectory) (geo.Traj
 	if len(tr.Points) < 2 {
 		return tr.Clone(), stats, nil
 	}
-	// Count this request as an active stream: while more than one stream is
-	// in flight, the admission batcher holds partial batches for its
-	// coalescing window; a lone stream always dispatches immediately, so
-	// unloaded latency is unchanged.
-	s.adm.StreamEnter()
-	defer s.adm.StreamExit()
-
 	out := geo.Trajectory{ID: tr.ID}
 	cells := make([]grid.Cell, len(tr.Points))
 	xys := make([]geo.XY, len(tr.Points))

@@ -207,7 +207,6 @@ func (s *System) initObs() {
 	s.cache.Instrument(reg)
 	s.adm = batcher.New(batcher.Options{
 		MaxBatch:  s.cfg.BatchMaxSize,
-		MaxWait:   s.cfg.BatchMaxWait,
 		MaxQueue:  s.cfg.BatchMaxQueue,
 		MaxStarve: s.cfg.BatchMaxStarve,
 		Registry:  reg,

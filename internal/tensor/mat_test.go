@@ -94,26 +94,25 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulBT(t *testing.T) {
+// TestMatMulTNMatchesNaive pins MatMulTN's exactness on the shapes of the
+// MLM head (16 and 1 queries against a 2000-token vocabulary) and of one
+// attention head's scores: every element must equal the naive k-ascending sum
+// bit for bit, not within a tolerance.
+func TestMatMulTNMatchesNaive(t *testing.T) {
 	rng := NewRNG(7)
-	a := NewMat(5, 8)
-	b := NewMat(6, 8) // bᵀ is 8x6
-	NormalInit(a, 1, rng)
-	NormalInit(b, 1, rng)
-	got := NewMat(5, 6)
-	MatMulBT(got, a, b)
-	// Reference: transpose b explicitly.
-	bt := NewMat(8, 6)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 8; j++ {
-			bt.Set(j, i, b.At(i, j))
-		}
-	}
-	want := NewMat(5, 6)
-	matMulNaive(want, a, bt)
-	for i := range got.A {
-		if math.Abs(float64(got.A[i]-want.A[i])) > 1e-4 {
-			t.Fatalf("element %d = %f, want %f", i, got.A[i], want.A[i])
+	for _, s := range []struct{ n, k, m int }{{16, 64, 2000}, {1, 64, 2000}, {15, 16, 15}} {
+		a := NewMat(s.n, s.k)
+		bt := NewMat(s.m, s.k)
+		NormalInit(a, 1, rng)
+		NormalInit(bt, 1, rng)
+		got := NewMat(s.n, s.m)
+		MatMulTN(got, a, bt, nil)
+		want := NewMat(s.n, s.m)
+		matMulNaive(want, a, Transpose(bt))
+		for i := range got.A {
+			if got.A[i] != want.A[i] {
+				t.Fatalf("shape %v: element %d = %v, want %v", s, i, got.A[i], want.A[i])
+			}
 		}
 	}
 }

@@ -36,31 +36,6 @@ func MatMul(dst, a, b *Mat) {
 	})
 }
 
-// MatMulBT computes dst = a·bᵀ.  Shapes: a is n×k, b is m×k, dst is n×m.
-// This orientation has unit-stride inner loops for both operands, making it
-// the fastest kernel; attention scores (Q·Kᵀ) and input gradients (dY·Wᵀ)
-// use it.
-func MatMulBT(dst, a, b *Mat) {
-	if a.C != b.C || dst.R != a.R || dst.C != b.R {
-		panic("tensor: MatMulBT shape mismatch")
-	}
-	n, k, m := a.R, a.C, b.R
-	parallelRows(n, k*m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.A[i*k : (i+1)*k]
-			di := dst.A[i*m : (i+1)*m]
-			for j := 0; j < m; j++ {
-				bj := b.A[j*k : (j+1)*k]
-				var sum float32
-				for p, av := range ai {
-					sum += av * bj[p]
-				}
-				di[j] = sum
-			}
-		}
-	})
-}
-
 // MatMulAT computes dst = aᵀ·b.  Shapes: a is k×n, b is k×m, dst is n×m.
 // Weight gradients (Xᵀ·dY) use it.  Parallelizes over rows of dst (columns
 // of a) so workers never write the same destination row.

@@ -44,21 +44,6 @@ func BenchmarkMatMulNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMulBT(b *testing.B) {
-	rng := NewRNG(1)
-	const n = 128
-	a := NewMat(n, n)
-	c := NewMat(n, n)
-	dst := NewMat(n, n)
-	NormalInit(a, 1, rng)
-	NormalInit(c, 1, rng)
-	b.SetBytes(int64(n * n * n * 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulBT(dst, a, c)
-	}
-}
-
 func BenchmarkSoftmax(b *testing.B) {
 	rng := NewRNG(1)
 	m := NewMat(64, 2048)

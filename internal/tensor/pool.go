@@ -15,7 +15,7 @@ import (
 // and feeds them row chunks through a channel.
 //
 // Nested dispatch is the load-bearing case: bert's batched attention runs
-// whole sequences on pool workers, and each sequence issues MatMul/MatMulBT
+// whole sequences on pool workers, and each sequence issues MatMul/MatMulTN
 // calls that dispatch through this same pool once the model is large enough
 // to cross the parallel threshold.  Two rules keep that deadlock-free:
 //
